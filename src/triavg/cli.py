@@ -8,9 +8,10 @@ Exit codes: 0 on success (all checks passing), 1 on a verification failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import Callable
+from typing import Callable, Iterator
 
 from .convergents import cf_sqrt3, check_bisection, check_difference_identities
 from .identities import (
@@ -146,6 +147,25 @@ def _emit(text: str, out_path: str | None) -> None:
             handle.write(text)
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits() -> Iterator[None]:
+    """Lift the int->str digit cap (Python 3.10.7+) while output is formatted.
+
+    Terms past about 4300 digits are valid output; the cap exists to bound
+    the cost of parsing untrusted text, which formatting our own results is
+    not. The previous cap is restored on exit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def _gen_values(args: argparse.Namespace) -> tuple[str, list[int]]:
     custom_flags = [args.k, args.w0, args.w1]
     if args.seq == "custom":
@@ -195,14 +215,16 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    name, values = _gen_values(args)
     if args.count > PREFIX_WARN_THRESHOLD:
         print(
             f"warning: generating {args.count} terms; values grow geometrically "
             "and the output will be large",
             file=sys.stderr,
         )
-    _emit(_format_values(name, values, args.format), args.out)
+    name, values = _gen_values(args)
+    with _unlimited_int_digits():
+        text = _format_values(name, values, args.format)
+    _emit(text, args.out)
     return 0
 
 
@@ -226,8 +248,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         raise UsageError(f"unknown suite {args.suite!r}; expected all or one of: " + ", ".join(sorted(SUITES)))
     lines: list[str] = []
-    for report in reports:
-        lines.extend(_report_lines(report))
+    with _unlimited_int_digits():
+        for report in reports:
+            lines.extend(_report_lines(report))
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if all(report.ok for report in reports) else 1
 
@@ -266,11 +289,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_witness(args: argparse.Namespace) -> int:
     record = witness(args.n)
     status = "VERIFIED" if record.verify() else "FAILED"
-    _emit(
-        f"n={record.n} b={record.s} sum={record.total} avg={record.avg} "
-        f"a={record.r} {status}\n",
-        args.out,
-    )
+    with _unlimited_int_digits():
+        text = (
+            f"n={record.n} b={record.s} sum={record.total} avg={record.avg} "
+            f"a={record.r} {status}\n"
+        )
+    _emit(text, args.out)
     return 0 if status == "VERIFIED" else 1
 
 

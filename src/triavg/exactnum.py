@@ -1,16 +1,18 @@
 """Exact arithmetic in the quadratic extension Q(sqrt(3)).
 
-Python integers are arbitrary precision and ``fractions.Fraction`` keeps
-rationals reduced with a positive denominator, so those two builtin types
-serve directly as the integer and rational substrate. What this module adds
-is ``QuadElem``, the number a + b*sqrt(3) with exact rational coefficients,
-closed under ring arithmetic, plus integer square-root helpers.
+``QuadElem`` is the number (a + b*sqrt(3)) / d held as three Python ints:
+integer numerators a and b over one shared positive denominator d, kept
+reduced so that gcd(a, b, d) = 1. The stored triple is then unique per
+value. Ring operations are plain big-integer arithmetic on the triples,
+and a denominator enters only through a rational operand or scale. The
+closed forms of this package have integer coefficients and end in one
+integer division by 12 or 2, so d stays 1 on every hot path and no gcd
+runs there. The module also has integer square-root helpers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -29,33 +31,56 @@ def is_perfect_square(m: int) -> int | None:
     return root if root * root == m else None
 
 
-@dataclass(frozen=True)
 class QuadElem:
     """The real number a + b*sqrt(3), with exact rational a and b.
 
-    sqrt(3) is irrational, so the coefficient pair is unique per value and
-    field equality is numeric equality. Sums, differences and products stay
-    in the ring. Division by another QuadElem is deliberately not provided;
-    scaling by a rational covers every use here.
+    Built from int or Fraction coefficients; ``.a`` and ``.b`` read them
+    back as Fractions. sqrt(3) is irrational, so the reduced triple is
+    unique per value and equality compares it directly. Sums, differences
+    and products stay in the ring. Division by another QuadElem is
+    deliberately not provided; scaling by a rational covers every use here.
+    Instances are immutable, like Fraction, whose slot layout this follows.
     """
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("_a", "_b", "_d")
 
-    def __post_init__(self) -> None:
-        for name, value in (("a", self.a), ("b", self.b)):
+    def __init__(self, a: int | Fraction, b: int | Fraction) -> None:
+        for name, value in (("a", a), ("b", b)):
             if not isinstance(value, (int, Fraction)):
                 raise TypeError(
                     f"{name} must be exact (int or Fraction), got {type(value).__name__}"
                 )
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        a, b = Fraction(a), Fraction(b)
+        # Over the lcm of two reduced denominators the triple is reduced too.
+        d = math.lcm(a.denominator, b.denominator)
+        self._a = a.numerator * (d // a.denominator)
+        self._b = b.numerator * (d // b.denominator)
+        self._d = d
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QuadElem):
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
 
     def __add__(self, other: QuadElem | int | Fraction) -> QuadElem:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return QuadElem(self.a + other.a, self.b + other.b)
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._a + other._a, self._b + other._b, d)
+        return _make(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
@@ -63,52 +88,58 @@ class QuadElem:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return QuadElem(self.a - other.a, self.b - other.b)
+        return self + -other
 
     def __rsub__(self, other: int | Fraction) -> QuadElem:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other - self
+        return other + -self
 
     def __neg__(self) -> QuadElem:
-        return QuadElem(-self.a, -self.b)
+        return _make(-self._a, -self._b, self._d)
 
     def __mul__(self, other: QuadElem | int | Fraction) -> QuadElem:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return QuadElem(
-            self.a * other.a + 3 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _make(a * c + 3 * b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: int | Fraction) -> QuadElem:
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return QuadElem(self.a / scalar, self.b / scalar)
+        if not scalar:
+            raise ZeroDivisionError("QuadElem division by zero")
+        num, den = scalar.numerator, scalar.denominator
+        if num < 0:
+            num, den = -num, -den
+        return _make(self._a * den, self._b * den, self._d * num)
 
     def __pow__(self, n: int) -> QuadElem:
-        """n-th power by binary exponentiation, n >= 0."""
+        """n-th power by binary exponentiation on the numerators, n >= 0.
+
+        Bits are taken from the top, so each step multiplies by the base
+        itself. For a base with small coefficients, such as ALPHA, that step
+        costs linear time and only the squarings are big multiplications.
+        """
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             raise ValueError("QuadElem powers are defined for n >= 0 only")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        x, y = self._a, self._b
+        a, b = 1, 0
+        for bit in f"{n:b}":
+            a, b = a * a + 3 * b * b, 2 * a * b
+            if bit == "1":
+                a, b = a * x + 3 * b * y, a * y + b * x
+        return _make(a, b, self._d**n)
 
     def conjugate(self) -> QuadElem:
         """Image under sqrt(3) -> -sqrt(3); swaps alpha and beta."""
-        return QuadElem(self.a, -self.b)
+        return _make(self._a, -self._b, self._d)
 
     def as_integer(self) -> int:
         """This element as a plain int.
@@ -118,29 +149,48 @@ class QuadElem:
         relies on both cancellations, so a failure here is an internal bug,
         never a caller error.
         """
-        if self.b:
+        if self._b:
             raise ArithmeticError(f"sqrt(3) component did not cancel: {self}")
-        if self.a.denominator != 1:
+        if self._d != 1:
             raise ArithmeticError(f"value is not an integer: {self}")
-        return self.a.numerator
+        return self._a
+
+    def __repr__(self) -> str:
+        return f"QuadElem(a={self.a!r}, b={self.b!r})"
 
     def __str__(self) -> str:
         return f"{self.a} + {self.b}*sqrt(3)"
 
 
+def _make(a: int, b: int, d: int) -> QuadElem:
+    """(a + b*sqrt(3)) / d from ints with d > 0, reduced."""
+    if d != 1:
+        # d first: each gcd step then works on a number no larger than d.
+        g = math.gcd(d, a, b)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    elem = object.__new__(QuadElem)
+    elem._a = a
+    elem._b = b
+    elem._d = d
+    return elem
+
+
 def _coerce(value: object) -> QuadElem | None:
     if isinstance(value, QuadElem):
         return value
-    if isinstance(value, (int, Fraction)):
-        return QuadElem(Fraction(value), Fraction(0))
+    if isinstance(value, int):
+        return _make(value, 0, 1)
+    if isinstance(value, Fraction):
+        return _make(value.numerator, 0, value.denominator)
     return None
 
 
-ZERO = QuadElem(Fraction(0), Fraction(0))
-ONE = QuadElem(Fraction(1), Fraction(0))
-SQRT3 = QuadElem(Fraction(0), Fraction(1))
+ZERO = QuadElem(0, 0)
+ONE = QuadElem(1, 0)
+SQRT3 = QuadElem(0, 1)
 
 # Roots of x^2 - 4x + 1. They satisfy alpha + beta = 4 and alpha * beta = 1,
 # which drives every closed form in the recurrences module.
-ALPHA = QuadElem(Fraction(2), Fraction(1))
-BETA = QuadElem(Fraction(2), Fraction(-1))
+ALPHA = QuadElem(2, 1)
+BETA = QuadElem(2, -1)

@@ -10,7 +10,7 @@ A spec (k, w0, w1) pins down one sequence. The named instances, by letter:
     F = w(0,  0, 1)   kernel of the homogeneous family (A001353)
 
 Every sequence can be evaluated four independent ways: direct iteration,
-the closed form over Q(sqrt(3)), the L-companion form, and coefficient
+the closed form over Z[sqrt(3)], the L-companion form, and coefficient
 extraction from the generating function. The paths share no arithmetic,
 so their agreement is strong evidence of correctness; the test suite and
 the ``verify`` CLI command exercise exactly that.
@@ -19,7 +19,6 @@ the ``verify`` CLI command exercise exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 from .exactnum import ALPHA, BETA, ONE, SQRT3, QuadElem
@@ -57,6 +56,10 @@ def resolve_spec(seq: SequenceId) -> RecurrenceSpec:
     """Map a sequence letter (a, b, u, v, L, F) or an explicit spec to its spec."""
     if isinstance(seq, RecurrenceSpec):
         return seq
+    if not isinstance(seq, str):
+        raise TypeError(
+            f"sequence must be a letter or a RecurrenceSpec, got {type(seq).__name__}"
+        )
     for candidate in (seq, seq.lower(), seq.upper()):
         if candidate in NAMED_SPECS:
             return NAMED_SPECS[candidate]
@@ -79,25 +82,43 @@ def eval_iterative(spec: RecurrenceSpec, n: int) -> int:
     return cur
 
 
+def _divide_exactly(numerator: int, divisor: int, form: str, n: int) -> int:
+    """numerator // divisor, raising ArithmeticError unless it divides exactly."""
+    quotient, remainder = divmod(numerator, divisor)
+    if remainder:
+        raise ArithmeticError(
+            f"{form} gave a non-integer at n={n}: remainder {remainder} mod {divisor}"
+        )
+    return quotient
+
+
 def _closed_form_weights(spec: RecurrenceSpec) -> tuple[QuadElem, QuadElem]:
+    """12*c_a and 12*c_b, the weights of alpha^n and beta^n in Z[sqrt(3)].
+
+    Each is built from the spec on its own, not as the other's conjugate, so
+    a wrong weight shows as a sqrt(3) component that fails to cancel.
+    """
     k, r, s = spec.k, spec.w0, spec.w1
     shared = k - 2 * r
-    weight_alpha = (s * ALPHA + (k + 4 * r - s) * BETA + shared) / 12
-    weight_beta = (s * BETA + (k + 4 * r - s) * ALPHA + shared) / 12
+    weight_alpha = s * ALPHA + (k + 4 * r - s) * BETA + shared
+    weight_beta = s * BETA + (k + 4 * r - s) * ALPHA + shared
     return weight_alpha, weight_beta
 
 
 def eval_closed_form(spec: RecurrenceSpec, n: int) -> int:
-    """w_n = -k/2 + c_a*alpha^n + c_b*beta^n, evaluated exactly in Q(sqrt(3)).
+    """w_n = -k/2 + c_a*alpha^n + c_b*beta^n, evaluated exactly in Z[sqrt(3)].
 
-    The sqrt(3) component must cancel and the rational part must be an
-    integer; ``QuadElem.as_integer`` enforces both, raising ArithmeticError
-    on any violation.
+    12*w_n = -6k + 12*c_a*alpha^n + 12*c_b*beta^n has integer weights, so
+    the sum is formed in Z[sqrt(3)] and divided by 12 once. beta^n is the
+    conjugate of alpha^n, conjugation being a ring automorphism. The
+    sqrt(3) component must cancel (``QuadElem.as_integer``) and the sum must
+    be a multiple of 12; either failure raises ArithmeticError.
     """
     _require_index(n)
     weight_alpha, weight_beta = _closed_form_weights(spec)
-    value = weight_alpha * ALPHA**n + weight_beta * BETA**n - Fraction(spec.k, 2)
-    return value.as_integer()
+    power = ALPHA**n
+    value = weight_alpha * power + weight_beta * power.conjugate()
+    return _divide_exactly(value.as_integer() - 6 * spec.k, 12, "closed form", n)
 
 
 def eval_via_L(spec: RecurrenceSpec, n: int) -> int:
@@ -107,14 +128,8 @@ def eval_via_L(spec: RecurrenceSpec, n: int) -> int:
     k, r, s = spec.k, spec.w0, spec.w1
     l_n = eval_iterative(L_SPEC, n)
     l_prev = eval_iterative(L_SPEC, n - 1)
-    value = (
-        -Fraction(k, 2)
-        + Fraction(4 * s + k - 2 * r, 12) * l_n
-        + Fraction(k + 4 * r - 2 * s, 12) * l_prev
-    )
-    if value.denominator != 1:
-        raise ArithmeticError(f"companion form gave a non-integer {value} at n={n}")
-    return value.numerator
+    twelve_w = -6 * k + (4 * s + k - 2 * r) * l_n + (k + 4 * r - 2 * s) * l_prev
+    return _divide_exactly(twelve_w, 12, "companion form", n)
 
 
 def gf_coefficients(spec: RecurrenceSpec, count: int) -> list[int]:
@@ -144,30 +159,32 @@ def gf_coefficients(spec: RecurrenceSpec, count: int) -> list[int]:
 
 # alpha^(1/2) = (1 + sqrt3)/sqrt2 and beta^(1/2) = (sqrt3 - 1)/sqrt2 (taking
 # alpha^(1/2) - beta^(1/2) = sqrt2), so the half-power closed forms for u and v
-# collapse to integer powers with these weights and never leave Q(sqrt(3)).
+# collapse to integer powers with these weights and never leave Z[sqrt(3)]
+# until one final division by 2.
 _W_PLUS = ONE + SQRT3
 _W_MINUS = SQRT3 - ONE
-_HALF = Fraction(1, 2)
 
 
 def eval_u(n: int) -> int:
     """u_n = ((1+sqrt3)*alpha^n - (sqrt3-1)*beta^n) / 2."""
     _require_index(n)
-    value = (_W_PLUS * ALPHA**n - _W_MINUS * BETA**n) * _HALF
-    return value.as_integer()
+    power = ALPHA**n
+    twice_u = _W_PLUS * power - _W_MINUS * power.conjugate()
+    return _divide_exactly(twice_u.as_integer(), 2, "u closed form", n)
 
 
 def eval_v(n: int) -> int:
     """v_n = sqrt3 * ((1+sqrt3)*alpha^n + (sqrt3-1)*beta^n) / 2.
 
-    The inner bracket is a pure sqrt(3) multiple; that is checked before the
-    final multiplication brings the value back to the rationals.
+    The bracket is a pure sqrt(3) multiple; that is checked before the
+    multiplication by sqrt3 brings the value back to the integers.
     """
     _require_index(n)
-    inner = (_W_PLUS * ALPHA**n + _W_MINUS * BETA**n) * _HALF
-    if inner.a:
-        raise ArithmeticError(f"expected a pure sqrt(3) multiple, got {inner}")
-    return (SQRT3 * inner).as_integer()
+    power = ALPHA**n
+    bracket = _W_PLUS * power + _W_MINUS * power.conjugate()
+    if bracket.a:
+        raise ArithmeticError(f"expected a pure sqrt(3) multiple, got {bracket}")
+    return _divide_exactly((SQRT3 * bracket).as_integer(), 2, "v closed form", n)
 
 
 def sequence_prefix(seq: SequenceId, count: int) -> list[int]:

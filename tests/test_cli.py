@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from triavg.cli import main, parse_bfile
-from triavg.recurrences import sequence_prefix
+from triavg.cli import PREFIX_WARN_THRESHOLD, _unlimited_int_digits, main, parse_bfile
+from triavg.recurrences import A_SPEC, B_SPEC, eval_iterative, sequence_prefix
 
 
 def run_cli(capsys, *argv):
@@ -186,6 +186,53 @@ def test_gen_warns_on_huge_prefix(capsys):
     assert code == 0
     assert "warning" in err
     assert out.count("0") == 1000001
+
+
+def test_gen_warns_before_building_the_prefix(capsys, monkeypatch):
+    stderr_at_work = []
+
+    def stub_prefix(spec, count):
+        stderr_at_work.append(capsys.readouterr().err)
+        return [0]
+
+    monkeypatch.setattr("triavg.cli.sequence_prefix", stub_prefix)
+    code = main(["gen", "a", "--count", str(PREFIX_WARN_THRESHOLD + 1)])
+    assert code == 0
+    assert len(stderr_at_work) == 1
+    assert "warning" in stderr_at_work[0]
+
+
+def _digit_cap():
+    """Python's int->str digit cap, or None before 3.10.7, which has none."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+def test_witness_past_the_int_str_digit_cap(capsys):
+    # Python's default cap is 4300 digits; the prefix sum of witness 2507
+    # is the first to pass it.
+    cap = _digit_cap()
+    code, out, err = run_cli(capsys, "witness", "2507")
+    assert (code, err) == (0, "")
+    assert _digit_cap() == cap
+    s, r = eval_iterative(B_SPEC, 2507), eval_iterative(A_SPEC, 2507)
+    avg = r * (r + 1) // 2
+    with _unlimited_int_digits():
+        assert len(str(s * avg)) == 4301
+        assert out == f"n=2507 b={s} sum={s * avg} avg={avg} a={r} VERIFIED\n"
+
+
+def test_gen_past_the_int_str_digit_cap(capsys):
+    # a_7519, the last of 7520 terms, is the first term of a with 4301 digits.
+    cap = _digit_cap()
+    code, out, err = run_cli(capsys, "gen", "a", "--count", "7520")
+    assert (code, err) == (0, "")
+    assert _digit_cap() == cap
+    terms = out.split()
+    assert len(terms) == 7520
+    with _unlimited_int_digits():
+        last = str(eval_iterative(A_SPEC, 7519))
+    assert len(last) == 4301
+    assert terms[-1] == last
 
 
 def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from triavg.exactnum import ALPHA, BETA, ONE, SQRT3, QuadElem, is_perfect_square, isqrt
+from triavg.exactnum import ALPHA, BETA, ONE, SQRT3, ZERO, QuadElem, is_perfect_square, isqrt
 
 
 def test_alpha_beta_sum_and_product():
@@ -94,6 +94,78 @@ def test_ring_distributivity(x, y, z):
 @given(st.integers(min_value=0, max_value=128))
 def test_alpha_beta_powers_are_inverse(n):
     assert (ALPHA**n) * (BETA**n) == ONE
+
+
+@given(st.integers(min_value=0, max_value=512))
+def test_beta_power_is_conjugate_of_alpha_power(n):
+    assert BETA**n == (ALPHA**n).conjugate()
+
+
+# A plain reference: the value a + b*sqrt(3) as the Fraction pair (a, b).
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+pairs = st.tuples(rationals, rationals)
+nonzero_scalars = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+).filter(lambda c: c != 0)
+
+
+def as_pair(x):
+    assert isinstance(x.a, Fraction) and isinstance(x.b, Fraction)
+    return (x.a, x.b)
+
+
+@given(pairs, pairs)
+def test_ring_ops_match_fraction_pair_reference(p, q):
+    (a, b), (c, d) = p, q
+    x, y = QuadElem(a, b), QuadElem(c, d)
+    assert as_pair(x) == (a, b)
+    assert as_pair(x + y) == (a + c, b + d)
+    assert as_pair(x - y) == (a - c, b - d)
+    assert as_pair(-x) == (-a, -b)
+    assert as_pair(x * y) == (a * c + 3 * b * d, a * d + b * c)
+    assert as_pair(x.conjugate()) == (a, -b)
+
+
+@given(pairs, nonzero_scalars)
+def test_scaling_matches_fraction_pair_reference(p, c):
+    a, b = p
+    x = QuadElem(a, b)
+    assert as_pair(x * c) == as_pair(c * x) == (a * c, b * c)
+    assert as_pair(x / c) == (a / c, b / c)
+    assert as_pair(x + c) == as_pair(c + x) == (a + c, b)
+    assert as_pair(c - x) == (c - a, -b)
+
+
+@given(pairs, st.integers(min_value=0, max_value=8))
+def test_pow_matches_repeated_multiplication_with_denominators(p, n):
+    x = QuadElem(*p)
+    acc = ONE
+    for _ in range(n):
+        acc = acc * x
+    assert x**n == acc
+
+
+@given(pairs, nonzero_scalars)
+def test_equal_values_have_equal_hashes(p, c):
+    x = QuadElem(*p)
+    y = (x * c + ALPHA) / c - ALPHA / c  # the same value by another route
+    assert y == x
+    assert hash(y) == hash(x)
+
+
+@given(pairs, st.integers(min_value=1, max_value=60))
+def test_zero_normalises_whatever_its_denominator(p, d):
+    x = QuadElem(*p) / d
+    for zero in (x - x, x * 0, x + -x):
+        assert zero == ZERO
+        assert hash(zero) == hash(ZERO)
+        assert zero.a.denominator == 1
+
+
+def test_scaling_by_zero_is_an_error():
+    with pytest.raises(ZeroDivisionError):
+        ALPHA / 0  # noqa: B018
 
 
 def test_isqrt_examples():

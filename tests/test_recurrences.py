@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triavg import recurrences
+from triavg.exactnum import ONE
 from triavg.recurrences import (
     A_SPEC,
     B_SPEC,
@@ -48,6 +50,12 @@ def test_resolve_spec_accepts_letters_and_specs():
 def test_resolve_spec_rejects_unknown_names():
     with pytest.raises(KeyError):
         resolve_spec("w")
+
+
+@pytest.mark.parametrize("bad", [5, None, 2.5, ("a",)])
+def test_resolve_spec_rejects_non_strings_with_a_type_error(bad):
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        resolve_spec(bad)
 
 
 def test_iterative_first_values():
@@ -188,3 +196,29 @@ def test_companion_form_matches_iteration_for_arbitrary_specs(spec, n):
 @settings(max_examples=100)
 def test_series_extraction_matches_iteration_for_arbitrary_specs(spec):
     assert gf_coefficients(spec, 16) == sequence_prefix(spec, 16)
+
+
+@given(
+    st.builds(RecurrenceSpec, spec_ints, spec_ints, spec_ints),
+    st.integers(min_value=0, max_value=2000),
+)
+@settings(max_examples=60, deadline=None)
+def test_closed_forms_match_iteration_deep(spec, n):
+    assert eval_closed_form(spec, n) == eval_iterative(spec, n)
+    assert eval_u(n) == eval_iterative(U_SPEC, n)
+    assert eval_v(n) == eval_iterative(V_SPEC, n)
+
+
+def test_closed_form_rejects_a_weight_whose_sqrt3_part_does_not_cancel(monkeypatch):
+    right = recurrences._closed_form_weights
+    # Using alpha's weight for beta too leaves a sqrt(3) multiple of L_n.
+    monkeypatch.setattr(recurrences, "_closed_form_weights", lambda spec: (right(spec)[0],) * 2)
+    with pytest.raises(ArithmeticError, match="sqrt"):
+        eval_closed_form(A_SPEC, 5)
+
+
+def test_closed_form_rejects_a_sum_that_is_not_a_multiple_of_12(monkeypatch):
+    # Weights 1 and 1 cancel sqrt(3) but give L_1 - 6k = -2 for a.
+    monkeypatch.setattr(recurrences, "_closed_form_weights", lambda spec: (ONE, ONE))
+    with pytest.raises(ArithmeticError, match="non-integer"):
+        eval_closed_form(A_SPEC, 1)
