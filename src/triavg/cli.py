@@ -24,7 +24,7 @@ from .identities import (
     run_all,
 )
 from .recurrences import RecurrenceSpec, resolve_spec, sequence_prefix
-from .triangular import enumerate_solutions, prefix_average, witness
+from .triangular import WHEEL_MODULUS, enumerate_solutions, prefix_average, witness
 
 PREFIX_WARN_THRESHOLD = 10**6
 
@@ -114,9 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
         "solve",
         help="brute-force the equation s^2 + 3s + 2 = 3r^2 + 3r",
         description=(
-            "Scans every s up to --max-s, inverting the average equation via "
+            "Scans s up to --max-s, inverting the average equation via "
             "r = (sqrt(3*(11 + 12s + 4s^2)) - 3) / 6, and flags each hit "
-            "against the recurrence-predicted pairs (b_n, a_n)."
+            "against the recurrence-predicted pairs (b_n, a_n). Residue "
+            f"classes of s mod {WHEEL_MODULUS} whose radicand cannot be a "
+            "square are skipped; every other s is decided exactly."
         ),
     )
     solve.add_argument("--max-s", type=_positive_int, required=True, help="scan bound for s")
@@ -149,11 +151,12 @@ def _emit(text: str, out_path: str | None) -> None:
 
 @contextlib.contextmanager
 def _unlimited_int_digits() -> Iterator[None]:
-    """Lift the int->str digit cap (Python 3.10.7+) while output is formatted.
+    """Lift the int<->str digit cap (Python 3.10.7+) around formatting and parsing.
 
-    Terms past about 4300 digits are valid output; the cap exists to bound
-    the cost of parsing untrusted text, which formatting our own results is
-    not. The previous cap is restored on exit.
+    Terms past about 4300 digits are valid output, and a b-file holding them
+    must read back. The cap exists to bound the cost of parsing untrusted
+    text; formatting our own results, or reading back a b-file, is not that.
+    The previous cap is restored on exit.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
@@ -203,14 +206,18 @@ def _format_values(name: str, values: list[int], fmt: str) -> str:
 
 
 def parse_bfile(text: str) -> list[tuple[int, int]]:
-    """Read (index, value) pairs back out of b-file text, skipping comments."""
+    """Read (index, value) pairs back out of b-file text, skipping comments.
+
+    Values of any length parse, so every b-file that ``gen`` writes reads back.
+    """
     pairs = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        index_text, value_text = line.split(" ")
-        pairs.append((int(index_text), int(value_text)))
+    with _unlimited_int_digits():
+        for line in text.splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            index_text, value_text = line.split(" ")
+            pairs.append((int(index_text), int(value_text)))
     return pairs
 
 

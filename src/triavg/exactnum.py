@@ -150,10 +150,21 @@ class QuadElem:
         never a caller error.
         """
         if self._b:
-            raise ArithmeticError(f"sqrt(3) component did not cancel: {self}")
+            raise ArithmeticError(f"sqrt(3) component did not cancel: {self.size_summary()}")
         if self._d != 1:
-            raise ArithmeticError(f"value is not an integer: {self}")
+            raise ArithmeticError(f"value is not an integer: {self.size_summary()}")
         return self._a
+
+    def size_summary(self) -> str:
+        """The bit lengths of the stored triple, for error messages.
+
+        Unlike str(), this works at any size: str() of a value past Python's
+        4300-digit int->str cap raises ValueError.
+        """
+        return (
+            f"(a + b*sqrt(3)) / d with a of {self._a.bit_length()} bits, "
+            f"b of {self._b.bit_length()} bits, d of {self._d.bit_length()} bits"
+        )
 
     def __repr__(self) -> str:
         return f"QuadElem(a={self.a!r}, b={self.b!r})"

@@ -183,7 +183,7 @@ def eval_v(n: int) -> int:
     power = ALPHA**n
     bracket = _W_PLUS * power + _W_MINUS * power.conjugate()
     if bracket.a:
-        raise ArithmeticError(f"expected a pure sqrt(3) multiple, got {bracket}")
+        raise ArithmeticError(f"expected a pure sqrt(3) multiple, got {bracket.size_summary()}")
     return _divide_exactly((SQRT3 * bracket).as_integer(), 2, "v closed form", n)
 
 

@@ -3,13 +3,19 @@
 Asking for the average of the first s triangular numbers to be the r-th
 triangular number leads to s^2 + 3s + 2 = 3r^2 + 3r. This module is the
 ground-truth side of the project: it solves that equation by radical
-inversion and exhaustive scan, with no recourse to the recurrences, and it
+inversion and by a scan that skips only the residue classes where no square
+can occur, with no recourse to the recurrences, and it
 packages fully verified (s, average, r) witnesses for the indices that the
 recurrences predict.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +25,14 @@ from .recurrences import A_SPEC, B_SPEC, eval_iterative
 # Above this many terms the literal sum is skipped and only the closed
 # product formula is used; below it, both are computed and must agree.
 LITERAL_SUM_CUTOFF = 10**5
+
+# Pairwise coprime prime powers whose product is the period of the scan's
+# residue wheel. Powers of 2 are left out: with x = 2s + 3 odd, the radicand
+# 3*(x^2 + 2) is 1 mod 8, a square modulo every power of 2. 81 strikes out 57
+# of its 81 classes; 243 would strike out little more for a period three
+# times as long.
+WHEEL_FACTORS = (81, 5, 7, 11, 13)
+WHEEL_MODULUS = math.prod(WHEEL_FACTORS)
 
 
 def triangular(k: int) -> int:
@@ -55,7 +69,8 @@ def prefix_sum(s: int) -> int:
     # divisible by 6.
     total = s * (s + 1) * (s + 2) // 6
     if s <= LITERAL_SUM_CUTOFF:
-        literal = sum(k * (k + 1) // 2 for k in range(1, s + 1))
+        # Running sums of 1..k build each T_k by addition alone.
+        literal = sum(itertools.accumulate(range(1, s + 1)))
         if literal != total:
             raise ArithmeticError(
                 f"prefix sum mismatch at s={s}: literal {literal} vs formula {total}"
@@ -111,19 +126,51 @@ def solve_r_for_s(s: int) -> int | None:
     return r if r >= 1 else None
 
 
-def enumerate_solutions(s_max: int) -> list[tuple[int, int]]:
-    """All (s, r) with 1 <= s <= s_max satisfying the equation, by brute scan.
+@functools.cache
+def wheel_offsets() -> array:
+    """The sorted residues s mod WHEEL_MODULUS whose radicand can be a square.
 
-    Deliberately built on solve_r_for_s alone so it stays an oracle that is
-    independent of the recurrence machinery.
+    Built from the equation alone, once per process on the first scan: each
+    factor q of the modulus strikes out every class s mod q for which
+    3*(11 + 12s + 4s^2), solve_r_for_s's radicand, is not a square mod q. A
+    true square is a square modulo anything, so no struck class holds a
+    solution. The array is shared; callers must not change it.
+    """
+    sieve = bytearray([1]) * WHEEL_MODULUS
+    for q in WHEEL_FACTORS:
+        squares = {y * y % q for y in range(q)}
+        for c in range(q):
+            if 3 * (11 + 12 * c + 4 * c * c) % q not in squares:
+                sieve[c::q] = bytes(len(range(c, WHEEL_MODULUS, q)))
+    offsets = array("L")
+    s = sieve.find(1)
+    while s >= 0:
+        offsets.append(s)
+        s = sieve.find(1, s + 1)
+    return offsets
+
+
+def enumerate_solutions(s_max: int) -> list[tuple[int, int]]:
+    """All (s, r) with 1 <= s <= s_max satisfying the equation, by scan.
+
+    Classes of s mod WHEEL_MODULUS whose radicand cannot be a square are
+    skipped (see wheel_offsets); every other s is decided exactly by
+    solve_r_for_s. Both rest on the equation alone, so the scan stays an
+    oracle that is independent of the recurrence machinery.
     """
     if s_max < 1:
         raise ValueError(f"s_max must be positive, got {s_max}")
+    offsets = wheel_offsets()
     found = []
-    for s in range(1, s_max + 1):
-        r = solve_r_for_s(s)
-        if r is not None:
-            found.append((s, r))
+    for base in range(0, s_max + 1, WHEEL_MODULUS):
+        # Only s >= 1 counts, and the last period stops at s_max.
+        lo = bisect_left(offsets, 1 - base)
+        hi = bisect_right(offsets, s_max - base)
+        for offset in offsets[lo:hi]:
+            s = base + offset
+            r = solve_r_for_s(s)
+            if r is not None:
+                found.append((s, r))
     return found
 
 

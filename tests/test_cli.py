@@ -235,6 +235,19 @@ def test_gen_past_the_int_str_digit_cap(capsys):
     assert terms[-1] == last
 
 
+def test_bfile_round_trip_past_the_int_str_digit_cap(tmp_path, capsys):
+    # a_7519, the last of 7520 terms, is the first term of a with 4301 digits.
+    target = tmp_path / "a.bfile"
+    code, _, err = run_cli(
+        capsys, "gen", "a", "--count", "7520", "--format", "bfile", "--out", str(target)
+    )
+    assert (code, err) == (0, "")
+    cap = _digit_cap()
+    pairs = parse_bfile(target.read_text())
+    assert _digit_cap() == cap
+    assert pairs == list(enumerate(sequence_prefix("a", 7520)))
+
+
 def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
     from triavg.cli import SUITES
     from triavg.identities import IdentityReport

@@ -69,6 +69,16 @@ def test_as_integer():
         QuadElem(1, 1).as_integer()
 
 
+def test_as_integer_errors_past_the_int_str_digit_cap():
+    # The messages give bit lengths, since str() of a 5001-digit value
+    # raises ValueError under Python's default cap.
+    big = 10**5000 + 1
+    with pytest.raises(ArithmeticError, match="bits"):
+        QuadElem(big, big).as_integer()
+    with pytest.raises(ArithmeticError, match="bits"):
+        QuadElem(Fraction(big, 2), 0).as_integer()
+
+
 quad_elems = st.builds(
     QuadElem,
     st.fractions(min_value=-50, max_value=50, max_denominator=12),

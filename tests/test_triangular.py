@@ -1,12 +1,16 @@
+import importlib
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triavg import recurrences
 from triavg.recurrences import A_SPEC, B_SPEC, eval_iterative
 from triavg.triangular import (
     LITERAL_SUM_CUTOFF,
+    WHEEL_MODULUS,
     TriangularWitness,
     check_pair,
     enumerate_solutions,
@@ -16,8 +20,12 @@ from triavg.triangular import (
     solve_r_for_s,
     solve_s_for_r,
     triangular,
+    wheel_offsets,
     witness,
 )
+
+# The package re-exports the function triangular, which shadows the module.
+triangular_module = importlib.import_module("triavg.triangular")
 
 
 def test_triangular_examples():
@@ -180,3 +188,48 @@ def test_witness_beyond_literal_cutoff_uses_formula():
     assert w.s > LITERAL_SUM_CUTOFF
     assert w.avg == triangular(w.r)
     assert check_pair(w.s, w.r)
+
+
+def plain_scan(s_max):
+    """The reference scan: solve_r_for_s on every s from 1 to s_max."""
+    return [(s, r) for s in range(1, s_max + 1) if (r := solve_r_for_s(s)) is not None]
+
+
+def test_wheel_scan_agrees_with_the_plain_loop():
+    # One plain scan to 2M serves every bound: its hits up to a bound are
+    # what the plain loop returns at that bound.
+    reference = plain_scan(2 * WHEEL_MODULUS)
+    bounds = {1, WHEEL_MODULUS - 1, WHEEL_MODULUS, WHEEL_MODULUS + 1, 2 * WHEEL_MODULUS}
+    for s, _ in reference:
+        if s <= 10**5:
+            bounds |= {s - 1, s, s + 1} - {0}
+    bounds.add(random.Random(20200301).randint(1, 2 * 10**5))
+    for s_max in sorted(bounds):
+        assert enumerate_solutions(s_max) == [p for p in reference if p[0] <= s_max], s_max
+
+
+def test_wheel_skips_exactly_the_classes_whose_radicand_is_no_square():
+    # Exhaustive over one period: a class is kept if and only if its
+    # radicand is a square mod M, so no skipped class can hold a solution.
+    m = WHEEL_MODULUS
+    is_square = bytearray(m)
+    for y in range(m):
+        is_square[y * y % m] = 1
+    offsets = list(wheel_offsets())
+    expected = [s for s in range(m) if is_square[3 * (11 + 12 * s + 4 * s * s) % m]]
+    assert offsets == expected
+
+
+def test_scan_never_touches_the_recurrences(monkeypatch):
+    expected = plain_scan(10**4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan called the recurrences")
+
+    for name in ("eval_iterative", "eval_closed_form", "sequence_prefix"):
+        monkeypatch.setattr(recurrences, name, refuse)
+    # triavg.triangular holds eval_iterative under its own name as well.
+    monkeypatch.setattr(triangular_module, "eval_iterative", refuse)
+    # Rebuild the table under the patch too.
+    wheel_offsets.cache_clear()
+    assert enumerate_solutions(10**4) == expected
