@@ -5,6 +5,11 @@ itself a triangular number, the a_n-th. Everything here exists either to
 generate the sequence family involved (a, b, u, v, L, F, and the convergent
 numerators z) or to verify, with exact integer arithmetic, the identities
 that make the statement true.
+
+The function ``triangular`` is re-exported here, and that name hides the
+submodule of the same name: ``triavg.triangular`` and ``from triavg import
+triangular`` give the function. Reach the module, for instance to
+monkeypatch it, through ``importlib.import_module("triavg.triangular")``.
 """
 
 from .convergents import (

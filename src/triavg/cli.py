@@ -2,7 +2,8 @@
 Diophantine equation, and print verified witnesses.
 
 Exit codes: 0 on success (all checks passing), 1 on a verification failure,
-2 on a usage error.
+2 on a usage error. Any other exception is an internal fault and propagates
+with its traceback, so it is never mistaken for bad input.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .identities import (
     check_v_square,
     run_all,
 )
-from .recurrences import RecurrenceSpec, resolve_spec, sequence_prefix
+from .recurrences import B_SPEC, RecurrenceSpec, eval_closed_form, resolve_spec, sequence_prefix
 from .triangular import WHEEL_MODULUS, enumerate_solutions, prefix_average, witness
 
 PREFIX_WARN_THRESHOLD = 10**6
@@ -266,10 +267,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     pairs = enumerate_solutions(args.max_s)
     predicted: dict[tuple[int, int], int] = {}
     n = 1
-    while True:
+    # b_n alone decides where to stop, so no witness is verified past max_s.
+    while eval_closed_form(B_SPEC, n) <= args.max_s:
         record = witness(n)
-        if record.s > args.max_s:
-            break
         predicted[(record.s, record.r)] = n
         n += 1
     lines = ["# s r average match"]
@@ -294,6 +294,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise UsageError("witness requires n >= 1: b_0 = -1 is not a valid prefix length")
     record = witness(args.n)
     status = "VERIFIED" if record.verify() else "FAILED"
     with _unlimited_int_digits():
@@ -311,9 +313,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .exactnum import ALPHA, BETA, ONE, SQRT3, QuadElem
+from .exactnum import ALPHA, ONE, SQRT3, QuadElem, _make
 
 
 @dataclass(frozen=True)
@@ -95,13 +95,15 @@ def _divide_exactly(numerator: int, divisor: int, form: str, n: int) -> int:
 def _closed_form_weights(spec: RecurrenceSpec) -> tuple[QuadElem, QuadElem]:
     """12*c_a and 12*c_b, the weights of alpha^n and beta^n in Z[sqrt(3)].
 
-    Each is built from the spec on its own, not as the other's conjugate, so
-    a wrong weight shows as a sqrt(3) component that fails to cancel.
+    12*c_a = s*alpha + t*beta + (k - 2r) and 12*c_b = s*beta + t*alpha + (k - 2r),
+    with t = k + 4r - s; expanding alpha = 2 + sqrt(3) and beta = 2 - sqrt(3)
+    gives the integer components below. Each is built from the spec on its
+    own, not as the other's conjugate, so a wrong weight shows as a sqrt(3)
+    component that fails to cancel.
     """
     k, r, s = spec.k, spec.w0, spec.w1
-    shared = k - 2 * r
-    weight_alpha = s * ALPHA + (k + 4 * r - s) * BETA + shared
-    weight_beta = s * BETA + (k + 4 * r - s) * ALPHA + shared
+    weight_alpha = _make(3 * k + 6 * r, 2 * s - k - 4 * r, 1)
+    weight_beta = _make(3 * k + 6 * r, k + 4 * r - 2 * s, 1)
     return weight_alpha, weight_beta
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import is_perfect_square
-from .recurrences import A_SPEC, B_SPEC, eval_iterative
+from .recurrences import A_SPEC, B_SPEC, eval_closed_form
 
 # Above this many terms the literal sum is skipped and only the closed
 # product formula is used; below it, both are computed and must agree.
@@ -205,21 +205,29 @@ class TriangularWitness:
 def witness(n: int) -> TriangularWitness:
     """Build and verify the witness for index n >= 1.
 
-    b_n and a_n come from the recurrences; the average is then recomputed
-    from first principles and every invariant is confirmed before the
-    record is returned. Failure to verify raises ArithmeticError, since it
-    would mean a bug, not bad input.
+    s = b_n and r = a_n come from the closed form, one power of alpha in
+    Z[sqrt(3)] each, so the cost grows with log n big multiplications
+    rather than n big additions. The prefix sum is then recomputed from
+    first principles (the literal sum too, up to LITERAL_SUM_CUTOFF) and
+    must equal s * T_r exactly: one multiplication that says both that the
+    average is integral and that it is T_r. Only when it fails does a
+    division tell the two apart. The defining equation is checked as well.
+    A failure raises ArithmeticError, since it would mean a bug, not bad
+    input; its message names n rather than the values, so it can be
+    formatted at any size.
     """
     if n < 1:
         raise ValueError("witness requires n >= 1: b_0 = -1 is not a valid prefix length")
-    s = eval_iterative(B_SPEC, n)
-    r = eval_iterative(A_SPEC, n)
+    s = eval_closed_form(B_SPEC, n)
+    r = eval_closed_form(A_SPEC, n)
     total = prefix_sum(s)
-    if total % s:
-        raise ArithmeticError(f"average of the first {s} triangular numbers is not integral")
-    avg = total // s
-    if avg != triangular(r):
-        raise ArithmeticError(f"average {avg} is not the {r}-th triangular number")
+    avg = triangular(r)
+    if total != s * avg:
+        if total % s:
+            raise ArithmeticError(
+                f"witness {n}: the average of the first s = b_n triangular numbers is not integral"
+            )
+        raise ArithmeticError(f"witness {n}: the average is not the r-th triangular number, r = a_n")
     if not check_pair(s, r):
-        raise ArithmeticError(f"pair ({s}, {r}) fails the defining equation")
+        raise ArithmeticError(f"witness {n}: (s, r) = (b_n, a_n) fails the defining equation")
     return TriangularWitness(n=n, s=s, avg=avg, r=r)

@@ -143,3 +143,12 @@ def test_criterion_7_randomized_recurrence_property():
                 assert w[n] - 4 * w[n - 1] + w[n - 2] == spec.k
             for n in range(21):
                 assert eval_closed_form(spec, n) == w[n]
+
+
+def test_criterion_8_deep_witness():
+    # One Z[sqrt(3)] power per term keeps this near 0.1 s; iterating the
+    # recurrences 10^5 steps for each term takes over 2.5 s.
+    with criterion(8, "witness(10^5) verifies", 1.5):
+        record = witness(10**5)
+        assert record.avg == triangular(record.r)
+        assert record.s.bit_length() > 10**5

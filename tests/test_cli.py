@@ -157,6 +157,23 @@ def test_solve_five_rows_to_500(capsys):
     assert rows[-1] == "493 285 40755 (b_5,a_5)"
 
 
+def test_solve_verifies_no_witness_past_the_bound(capsys, monkeypatch):
+    from triavg.cli import witness
+
+    requested = []
+
+    def recording_witness(n):
+        requested.append(n)
+        return witness(n)
+
+    monkeypatch.setattr("triavg.cli.witness", recording_witness)
+    code, out, _ = run_cli(capsys, "solve", "--max-s", "500")
+    assert code == 0
+    assert len(out.splitlines()) == 6
+    # b_5 = 493 <= 500 < b_6 = 1844.
+    assert requested == [1, 2, 3, 4, 5]
+
+
 def test_witness_output(capsys):
     code, out, _ = run_cli(capsys, "witness", "2")
     assert code == 0
@@ -174,6 +191,18 @@ def test_witness_zero_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "b_0" in err
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    # Exit 2 means bad input and nothing else; a ValueError from inside the
+    # package is a fault and must surface as one.
+    def broken_scan(s_max):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("triavg.cli.enumerate_solutions", broken_scan)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["solve", "--max-s", "10"])
+    assert capsys.readouterr().err == ""
 
 
 def test_gen_warns_on_huge_prefix(capsys):

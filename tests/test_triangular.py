@@ -228,8 +228,54 @@ def test_scan_never_touches_the_recurrences(monkeypatch):
 
     for name in ("eval_iterative", "eval_closed_form", "sequence_prefix"):
         monkeypatch.setattr(recurrences, name, refuse)
-    # triavg.triangular holds eval_iterative under its own name as well.
-    monkeypatch.setattr(triangular_module, "eval_iterative", refuse)
+    # triavg.triangular holds eval_closed_form under its own name as well.
+    monkeypatch.setattr(triangular_module, "eval_closed_form", refuse)
     # Rebuild the table under the patch too.
     wheel_offsets.cache_clear()
     assert enumerate_solutions(10**4) == expected
+
+
+def test_witness_agrees_with_iteration():
+    for n in [*range(1, 301), 30000]:
+        w = witness(n)
+        assert (w.s, w.r) == (eval_iterative(B_SPEC, n), eval_iterative(A_SPEC, n)), n
+        assert w.avg == triangular(w.r)
+
+
+def test_witness_does_not_iterate(monkeypatch):
+    expected = [witness(n) for n in (1, 2, 10, 500)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("witness iterated the recurrence")
+
+    monkeypatch.setattr(recurrences, "eval_iterative", refuse)
+    # Also under the name triavg.triangular would hold if it imported it.
+    monkeypatch.setattr(triangular_module, "eval_iterative", refuse, raising=False)
+    assert [witness(n) for n in (1, 2, 10, 500)] == expected
+
+
+def _witness_with_wrong_s(monkeypatch, n, offset):
+    """witness(n) with b_n replaced by b_n + offset."""
+    right = recurrences.eval_closed_form
+
+    def wrong_b(spec, index):
+        return right(spec, index) + (offset if spec == B_SPEC else 0)
+
+    monkeypatch.setattr(triangular_module, "eval_closed_form", wrong_b)
+    return witness(n)
+
+
+@pytest.mark.parametrize("n", [2, 40])
+def test_witness_rejects_an_s_with_a_non_integral_average(monkeypatch, n):
+    # b_n is 1 or 2 mod 3, so b_n + 1 or b_n + 2 is 0 mod 3, and then
+    # (s + 1)(s + 2)/6, the average, is not an integer.
+    offset = 3 - eval_iterative(B_SPEC, n) % 3
+    with pytest.raises(ArithmeticError, match="not integral"):
+        _witness_with_wrong_s(monkeypatch, n, offset)
+
+
+@pytest.mark.parametrize("n", [2, 40])
+def test_witness_rejects_an_s_whose_average_is_not_t_r(monkeypatch, n):
+    # b_n + 3 keeps the residue mod 3, so the average stays integral.
+    with pytest.raises(ArithmeticError, match="not the r-th triangular number"):
+        _witness_with_wrong_s(monkeypatch, n, 3)
