@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import decimal
+import itertools
 import sys
-from typing import Callable, Iterator
+from decimal import Decimal
+from typing import Callable, Iterable, Iterator
 
 from .convergents import cf_sqrt3, check_bisection, check_difference_identities
 from .identities import (
@@ -40,6 +42,24 @@ SUITES: dict[str, Callable[[int], IdentityReport]] = {
 }
 
 MAX_FAILURE_DETAILS = 10
+
+# Exact decimal arithmetic for gen's output: unbounded precision and exponent
+# range, with every rounding trapped, so no step can silently lose a digit.
+EXACT_DECIMAL = decimal.Context(
+    prec=decimal.MAX_PREC,
+    rounding=decimal.ROUND_HALF_EVEN,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
+)
+
+# gen prints through Decimal once its last term passes this many bits (about
+# 450 digits): below that, int->str costs no more than the Decimal re-run and
+# its cross-check, which would make a 512-term request about 18% slower.
+DECIMAL_FROM_BITS = 1500
+
+# The Mersenne prime 2^61 - 1, the modulus of gen's exactness fingerprint.
+FINGERPRINT_MODULUS = (1 << 61) - 1
 
 
 class UsageError(Exception):
@@ -170,18 +190,18 @@ def _unlimited_int_digits() -> Iterator[None]:
         sys.set_int_max_str_digits(saved)
 
 
-def _gen_values(args: argparse.Namespace) -> tuple[str, list[int]]:
+def _gen_request(args: argparse.Namespace) -> tuple[str, RecurrenceSpec | None]:
+    """The output name and the family spec of a gen request; no spec for z."""
     custom_flags = [args.k, args.w0, args.w1]
     if args.seq == "custom":
         if any(flag is None for flag in custom_flags):
             raise UsageError("custom sequences need all of --k, --w0, --w1")
-        spec = RecurrenceSpec(k=args.k, w0=args.w0, w1=args.w1)
         name = f"custom(k={args.k},w0={args.w0},w1={args.w1})"
-        return name, sequence_prefix(spec, args.count)
+        return name, RecurrenceSpec(k=args.k, w0=args.w0, w1=args.w1)
     if any(flag is not None for flag in custom_flags):
         raise UsageError("--k/--w0/--w1 are only valid with seq 'custom'")
     if args.seq == "z":
-        return "z", [c.p for c in cf_sqrt3(args.count)]
+        return "z", None
     try:
         spec = resolve_spec(args.seq)
     except KeyError:
@@ -189,21 +209,56 @@ def _gen_values(args: argparse.Namespace) -> tuple[str, list[int]]:
             f"unknown sequence {args.seq!r}; expected a, b, u, v, L, F, z or custom"
         )
     canonical = next(letter for letter in "abuvLF" if resolve_spec(letter) == spec)
-    return canonical, sequence_prefix(spec, args.count)
+    return canonical, spec
 
 
-def _format_values(name: str, values: list[int], fmt: str) -> str:
+def _decimal_prefix(spec: RecurrenceSpec, count: int) -> list[Decimal]:
+    """[w_0, ..., w_{count-1}] by the recurrence, in exact Decimal arithmetic."""
+    with decimal.localcontext(EXACT_DECIMAL):
+        k, four = Decimal(spec.k), Decimal(4)
+        prev, cur = Decimal(spec.w0), Decimal(spec.w1)
+        terms = [prev, cur]
+        for _ in range(count - 2):
+            prev, cur = cur, four * cur - prev + k
+            terms.append(cur)
+    del terms[count:]
+    return terms
+
+
+def _fingerprint(terms: Iterable[int] | Iterable[Decimal]) -> tuple[int, int]:
+    """(sum of the terms, sum of their running sums), both mod 2^61 - 1.
+
+    A term off by d, not a multiple of the modulus, moves the first; two
+    terms off by d and -d cancel there but move the second by d times their
+    distance. Decimal terms must be summed under EXACT_DECIMAL.
+    """
+    running = 0
+    for total in itertools.accumulate(terms):
+        running += total
+    # Decimal's % keeps the dividend's sign; the outer % makes both kinds agree.
+    m = FINGERPRINT_MODULUS
+    return int(total % m) % m, int(running % m) % m
+
+
+def _format_terms(name: str, digits: Iterable[str], fmt: str) -> str:
+    """gen's output text for the terms' decimal strings, in one of the four formats."""
     if fmt == "plain":
-        return " ".join(str(v) for v in values) + "\n"
-    if fmt == "bfile":
-        lines = [f"# {name} offset 0"]
-        lines.extend(f"{i} {v}" for i, v in enumerate(values))
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        return "".join(f"{i},{v}\n" for i, v in enumerate(values))
-    if fmt == "json":
-        return json.dumps([{"n": i, "value": str(v)} for i, v in enumerate(values)]) + "\n"
-    raise UsageError(f"unknown format {fmt!r}")
+        rows, sep, head, tail = list(digits), " ", "", "\n"
+    elif fmt == "bfile":
+        rows = [f"{i} {v}" for i, v in enumerate(digits)]
+        sep, head, tail = "\n", f"# {name} offset 0\n", "\n"
+    elif fmt == "csv":
+        rows, sep, head, tail = [f"{i},{v}" for i, v in enumerate(digits)], "\n", "", "\n"
+    elif fmt == "json":
+        # json.dumps's layout; values are digit strings, which need no escaping.
+        rows = [f'{{"n": {i}, "value": "{v}"}}' for i, v in enumerate(digits)]
+        sep, head, tail = ", ", "[", "]\n"
+    else:
+        raise UsageError(f"unknown format {fmt!r}")
+    # Head and tail ride on the first and last rows, so one join copies the text once.
+    rows[0] = head + rows[0]
+    rows[-1] += tail
+    return sep.join(rows)
 
 
 def parse_bfile(text: str) -> list[tuple[int, int]]:
@@ -223,15 +278,41 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    """Print the first --count terms of a sequence.
+
+    For the family letters and custom specs, sequence_prefix gives the int
+    terms, which stay the reference. Once the last term passes
+    DECIMAL_FROM_BITS, the same recurrence is re-run in Decimal under
+    EXACT_DECIMAL, where every step is exact and the caller's decimal
+    context has no say, and the text is made from str() of those terms:
+    linear in their digits, where CPython's int->str is quadratic. The two
+    runs must agree on _fingerprint, or ArithmeticError is raised and
+    nothing is printed. z keeps int->str, its terms having about half the
+    digits.
+    """
     if args.count > PREFIX_WARN_THRESHOLD:
         print(
             f"warning: generating {args.count} terms; values grow geometrically "
             "and the output will be large",
             file=sys.stderr,
         )
-    name, values = _gen_values(args)
+    name, spec = _gen_request(args)
+    if spec is None:
+        terms: list[int] | list[Decimal] = [c.p for c in cf_sqrt3(args.count)]
+    else:
+        values = sequence_prefix(spec, args.count)
+        if values[-1].bit_length() <= DECIMAL_FROM_BITS:
+            terms = values
+        else:
+            terms = _decimal_prefix(spec, len(values))
+            with decimal.localcontext(EXACT_DECIMAL):
+                if _fingerprint(terms) != _fingerprint(values):
+                    raise ArithmeticError(
+                        f"gen {name}: the Decimal terms disagree with the int prefix"
+                    )
+        del values  # released before the text is built
     with _unlimited_int_digits():
-        text = _format_values(name, values, args.format)
+        text = _format_terms(name, map(str, terms), args.format)
     _emit(text, args.out)
     return 0
 

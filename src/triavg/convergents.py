@@ -10,8 +10,7 @@ with the u recurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .identities import Failure, IdentityReport, _require_max_n
 from .recurrences import sequence_prefix
@@ -26,8 +25,7 @@ def _cf_terms() -> Iterator[int]:
         yield from CF_PERIOD
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(NamedTuple):
     """Numerator/denominator pair of one truncation of the sqrt(3) expansion."""
 
     p: int

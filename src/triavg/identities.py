@@ -7,15 +7,14 @@ instead of raising, so a report is useful for diffing when something breaks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .recurrences import sequence_prefix
 
 Failure = tuple[int, int, int]  # (n, lhs, rhs)
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of checking one identity family over an index range."""
 
     name: str

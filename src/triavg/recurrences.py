@@ -18,14 +18,12 @@ the ``verify`` CLI command exercise exactly that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .exactnum import ALPHA, ONE, SQRT3, QuadElem, _make
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class RecurrenceSpec(NamedTuple):
     """Parameters of w_n = 4*w_{n-1} - w_{n-2} + k with w_0, w_1 given."""
 
     k: int
@@ -76,9 +74,9 @@ def eval_iterative(spec: RecurrenceSpec, n: int) -> int:
     _require_index(n)
     if n == 0:
         return spec.w0
-    prev, cur = spec.w0, spec.w1
+    k, prev, cur = spec
     for _ in range(n - 1):
-        prev, cur = cur, 4 * cur - prev + spec.k
+        prev, cur = cur, 4 * cur - prev + k
     return cur
 
 
@@ -101,7 +99,7 @@ def _closed_form_weights(spec: RecurrenceSpec) -> tuple[QuadElem, QuadElem]:
     own, not as the other's conjugate, so a wrong weight shows as a sqrt(3)
     component that fails to cancel.
     """
-    k, r, s = spec.k, spec.w0, spec.w1
+    k, r, s = spec
     weight_alpha = _make(3 * k + 6 * r, 2 * s - k - 4 * r, 1)
     weight_beta = _make(3 * k + 6 * r, k + 4 * r - 2 * s, 1)
     return weight_alpha, weight_beta
@@ -198,8 +196,8 @@ def sequence_prefix(seq: SequenceId, count: int) -> list[int]:
     if count == 1:
         return out
     out.append(spec.w1)
-    prev, cur = spec.w0, spec.w1
+    k, prev, cur = spec
     for _ in range(count - 2):
-        prev, cur = cur, 4 * cur - prev + spec.k
+        prev, cur = cur, 4 * cur - prev + k
         out.append(cur)
     return out

@@ -16,8 +16,8 @@ import itertools
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactnum import is_perfect_square
 from .recurrences import A_SPEC, B_SPEC, eval_closed_form
@@ -174,8 +174,7 @@ def enumerate_solutions(s_max: int) -> list[tuple[int, int]]:
     return found
 
 
-@dataclass(frozen=True)
-class TriangularWitness:
+class TriangularWitness(NamedTuple):
     """One verified instance: the first s triangular numbers average to T_r.
 
     Fields: n is the index into the b/a sequences, s = b_n is the count

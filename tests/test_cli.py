@@ -1,11 +1,18 @@
+import decimal
+import functools
+import itertools
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
+import triavg.cli as cli
 from triavg.cli import PREFIX_WARN_THRESHOLD, _unlimited_int_digits, main, parse_bfile
-from triavg.recurrences import A_SPEC, B_SPEC, eval_iterative, sequence_prefix
+from triavg.recurrences import A_SPEC, B_SPEC, RecurrenceSpec, eval_iterative, sequence_prefix
+
+FORMATS = ("plain", "bfile", "csv", "json")
 
 
 def run_cli(capsys, *argv):
@@ -323,3 +330,134 @@ def test_subprocess_exit_codes():
         capture_output=True,
     )
     assert usage.returncode == 2
+
+
+def int_digits(values):
+    with _unlimited_int_digits():
+        return [str(v) for v in values]
+
+
+def int_reference(name, digits, fmt):
+    """gen's text made from str() of each int, the way it was before Decimal output."""
+    if fmt == "plain":
+        return " ".join(digits) + "\n"
+    if fmt == "bfile":
+        return f"# {name} offset 0\n" + "".join(f"{i} {d}\n" for i, d in enumerate(digits))
+    if fmt == "csv":
+        return "".join(f"{i},{d}\n" for i, d in enumerate(digits))
+    return json.dumps([{"n": i, "value": d} for i, d in enumerate(digits)]) + "\n"
+
+
+@pytest.fixture
+def decimal_always(monkeypatch):
+    """Send every family request through the Decimal path, however small."""
+    monkeypatch.setattr("triavg.cli.DECIMAL_FROM_BITS", -1)
+
+
+@pytest.fixture
+def decimal_calls(monkeypatch):
+    """The counts that gen's Decimal recurrence was asked for."""
+    calls = []
+    real = cli._decimal_prefix
+
+    def recording(spec, count):
+        calls.append(count)
+        return real(spec, count)
+
+    monkeypatch.setattr("triavg.cli._decimal_prefix", recording)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("letter", "abuvLF")
+def test_gen_decimal_output_matches_int_output(capsys, decimal_always, decimal_calls, letter, fmt):
+    for count in (1, 2, 3, 40):
+        code, out, err = run_cli(capsys, "gen", letter, "--count", str(count), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == int_reference(letter, int_digits(sequence_prefix(letter, count)), fmt)
+    assert decimal_calls == [1, 2, 3, 40]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_gen_small_requests_stay_on_int_formatting(capsys, decimal_calls, fmt):
+    # A 512-term request ends below DECIMAL_FROM_BITS, where int->str is cheaper.
+    code, out, _ = run_cli(capsys, "gen", "v", "--count", "512", "--format", fmt)
+    assert code == 0
+    assert out == int_reference("v", int_digits(sequence_prefix("v", 512)), fmt)
+    assert decimal_calls == []
+
+
+@functools.cache
+def b_digits_7520():
+    return int_digits(sequence_prefix("b", 7520))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_gen_decimal_output_past_the_int_str_digit_cap(capsys, decimal_calls, fmt):
+    # The last terms of b pass 4300 digits; a request this large prints
+    # through Decimal by default.
+    cap = _digit_cap()
+    code, out, err = run_cli(capsys, "gen", "b", "--count", "7520", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert decimal_calls == [7520]
+    assert _digit_cap() == cap
+    assert out == int_reference("b", b_digits_7520(), fmt)
+
+
+def test_gen_custom_specs_with_negative_terms_and_zeros(capsys, decimal_always):
+    # Every spec with coefficients in -2..2, plus wider random ones: negative
+    # coefficients, terms that cross or land on zero, and never a "-0".
+    rng = random.Random(6)
+    specs = list(itertools.product(range(-2, 3), repeat=3))
+    specs += [tuple(rng.randint(-10**6, 10**6) for _ in range(3)) for _ in range(20)]
+    zeros_after_negatives = 0
+    for k, w0, w1 in specs:
+        values = sequence_prefix(RecurrenceSpec(k, w0, w1), 12)
+        code, out, err = run_cli(
+            capsys, "gen", "custom", "--k", str(k), "--w0", str(w0), "--w1", str(w1), "--count", "12"
+        )
+        assert (code, err) == (0, "")
+        assert out == " ".join(map(str, values)) + "\n"
+        assert not any(term.startswith("-0") for term in out.split())
+        zeros_after_negatives += any(a < 0 and b == 0 for a, b in zip(values, values[1:]))
+    assert zeros_after_negatives > 0
+
+
+def test_gen_custom_zero_crossing_by_hand(capsys, decimal_always):
+    code, out, _ = run_cli(capsys, "gen", "custom", "--k", "1", "--w0", "-3", "--w1", "-1", "--count", "5")
+    assert code == 0
+    assert out == "-3 -1 0 2 9\n"
+
+
+def test_gen_ignores_the_callers_decimal_context(capsys, decimal_always):
+    expected = int_reference("v", int_digits(sequence_prefix("v", 300)), "csv")
+    with decimal.localcontext() as caller:
+        decimal.getcontext().prec = 5
+        caller.rounding = decimal.ROUND_FLOOR
+        code, out, err = run_cli(capsys, "gen", "v", "--count", "300", "--format", "csv")
+        assert decimal.getcontext().prec == 5
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
+@pytest.mark.parametrize(
+    "shifts",
+    [{0: 1}, {20: -1}, {39: 10**40}, {3: 1, 17: -1}, {0: -(10**30), 39: 10**30}],
+    ids=["first", "middle", "last-large", "pair", "pair-large"],
+)
+def test_gen_rejects_corrupted_decimal_terms(capsys, monkeypatch, decimal_always, shifts):
+    # One term off, or two off by +d and -d so that their sum is unchanged.
+    real = cli._decimal_prefix
+
+    def corrupted(spec, count):
+        terms = real(spec, count)
+        with decimal.localcontext(cli.EXACT_DECIMAL):
+            for index, delta in shifts.items():
+                terms[index] += delta
+        return terms
+
+    monkeypatch.setattr("triavg.cli._decimal_prefix", corrupted)
+    code, out, err = run_cli(capsys, "gen", "a", "--count", "40", "--format", "bfile")
+    assert code == 1
+    assert out == ""
+    assert "verification error" in err
