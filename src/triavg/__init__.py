@@ -12,23 +12,9 @@ triangular`` give the function. Reach the module, for instance to
 monkeypatch it, through ``importlib.import_module("triavg.triangular")``.
 """
 
-from .convergents import (
-    Convergent,
-    cf_sqrt3,
-    check_bisection,
-    check_difference_identities,
-    z,
-)
-from .exactnum import ALPHA, BETA, ONE, SQRT3, ZERO, QuadElem, is_perfect_square, isqrt
-from .identities import (
-    IdentityReport,
-    check_congruences,
-    check_discriminant,
-    check_linkages,
-    check_lucas_identities,
-    check_v_square,
-    run_all,
-)
+from .convergents import Convergent, cf_sqrt3, numerators, z
+from .exactnum import ALPHA, BETA, ONE, SQRT3, ZERO, QuadElem, is_perfect_square
+from .identities import SUITES, IdentityReport, run_all
 from .recurrences import (
     A_SPEC,
     B_SPEC,
@@ -47,6 +33,7 @@ from .recurrences import (
     gf_coefficients,
     resolve_spec,
     sequence_prefix,
+    terms,
 )
 from .triangular import (
     TriangularWitness,
@@ -70,7 +57,6 @@ __all__ = [
     "SQRT3",
     "ZERO",
     "QuadElem",
-    "isqrt",
     "is_perfect_square",
     "RecurrenceSpec",
     "SequenceId",
@@ -89,12 +75,9 @@ __all__ = [
     "eval_v",
     "gf_coefficients",
     "sequence_prefix",
+    "terms",
     "IdentityReport",
-    "check_lucas_identities",
-    "check_discriminant",
-    "check_congruences",
-    "check_linkages",
-    "check_v_square",
+    "SUITES",
     "run_all",
     "triangular",
     "is_triangular",
@@ -108,7 +91,6 @@ __all__ = [
     "witness",
     "Convergent",
     "cf_sqrt3",
+    "numerators",
     "z",
-    "check_bisection",
-    "check_difference_identities",
 ]

@@ -14,32 +14,14 @@ import decimal
 import itertools
 import sys
 from decimal import Decimal
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .convergents import cf_sqrt3, check_bisection, check_difference_identities
-from .identities import (
-    IdentityReport,
-    check_congruences,
-    check_discriminant,
-    check_linkages,
-    check_lucas_identities,
-    check_v_square,
-    run_all,
-)
+from .convergents import cf_sqrt3
+from .identities import SUITES, IdentityReport, run_all
 from .recurrences import B_SPEC, RecurrenceSpec, eval_closed_form, resolve_spec, sequence_prefix
 from .triangular import WHEEL_MODULUS, enumerate_solutions, prefix_average, witness
 
 PREFIX_WARN_THRESHOLD = 10**6
-
-SUITES: dict[str, Callable[[int], IdentityReport]] = {
-    "lucas": check_lucas_identities,
-    "discriminant": check_discriminant,
-    "congruences": check_congruences,
-    "linkages": check_linkages,
-    "v-square": check_v_square,
-    "bisection": check_bisection,
-    "differences": check_difference_identities,
-}
 
 MAX_FAILURE_DETAILS = 10
 
@@ -333,7 +315,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "all":
         reports = run_all(args.max_n)
     elif args.suite in SUITES:
-        reports = [SUITES[args.suite](args.max_n)]
+        reports = run_all(args.max_n, [args.suite])
     else:
         raise UsageError(f"unknown suite {args.suite!r}; expected all or one of: " + ", ".join(sorted(SUITES)))
     lines: list[str] = []

@@ -7,20 +7,13 @@ value. Ring operations are plain big-integer arithmetic on the triples,
 and a denominator enters only through a rational operand or scale. The
 closed forms of this package have integer coefficients and end in one
 integer division by 12 or 2, so d stays 1 on every hot path and no gcd
-runs there. The module also has integer square-root helpers.
+runs there. The module also has an exact perfect-square test.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-
-def isqrt(m: int) -> int:
-    """Floor of the square root of a nonnegative integer."""
-    if m < 0:
-        raise ValueError(f"isqrt is undefined for negative input {m}")
-    return math.isqrt(m)
 
 
 def is_perfect_square(m: int) -> int | None:

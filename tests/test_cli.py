@@ -286,12 +286,11 @@ def test_bfile_round_trip_past_the_int_str_digit_cap(tmp_path, capsys):
 
 def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
     from triavg.cli import SUITES
-    from triavg.identities import IdentityReport
 
-    def broken_checker(max_n):
-        return IdentityReport("lucas", (0, max_n), [(0, 4, 5), (1, 56, 57)])
+    def broken_check(w):
+        return {0: [(4, 5)], 1: [(56, 57)]}.get(w.n, [])
 
-    monkeypatch.setitem(SUITES, "lucas", broken_checker)
+    monkeypatch.setitem(SUITES, "lucas", (0, broken_check))
     code, out, _ = run_cli(capsys, "verify", "--suite", "lucas", "--max-n", "4")
     assert code == 1
     lines = out.splitlines()

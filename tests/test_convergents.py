@@ -1,14 +1,10 @@
+from itertools import islice
 from math import gcd
 
 import pytest
 
-from triavg.convergents import (
-    Convergent,
-    cf_sqrt3,
-    check_bisection,
-    check_difference_identities,
-    z,
-)
+from triavg.convergents import Convergent, cf_sqrt3, numerators, z
+from triavg.identities import run_all
 from triavg.recurrences import sequence_prefix
 
 # Locally stored prefix of A002531 (convergent numerators for sqrt(3)).
@@ -42,6 +38,7 @@ def test_cf_rejects_bad_count():
 
 def test_numerators_match_stored_oeis_prefix():
     assert [c.p for c in cf_sqrt3(len(A002531_PREFIX))] == A002531_PREFIX
+    assert list(islice(numerators(), len(A002531_PREFIX))) == A002531_PREFIX
 
 
 def test_convergents_are_reduced():
@@ -93,7 +90,7 @@ def test_numerators_are_positive():
 
 
 def test_bisection_check():
-    report = check_bisection(64)
+    (report,) = run_all(64, ["bisection"])
     assert report.ok
     assert report.checked_range == (0, 64)
     # n=0: u_0 = 1 = z_1; n=1: u_1 = 5 = z_3; n=4: u_4 = 265 = z_9.
@@ -103,7 +100,7 @@ def test_bisection_check():
 
 
 def test_difference_identity_chain():
-    report = check_difference_identities(64)
+    (report,) = run_all(64, ["differences"])
     assert report.ok
     assert report.checked_range == (1, 64)
     # n=2: u_2 - u_1 = 14 = L_2 = 2*z_4 = z_5 - z_3.
@@ -112,6 +109,6 @@ def test_difference_identity_chain():
 
 def test_checks_reject_bad_range():
     with pytest.raises(ValueError):
-        check_bisection(0)
+        run_all(0, ["bisection"])
     with pytest.raises(ValueError):
-        check_difference_identities(0)
+        run_all(0, ["differences"])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from triavg.exactnum import ALPHA, BETA, ONE, SQRT3, ZERO, QuadElem, is_perfect_square, isqrt
+from triavg.exactnum import ALPHA, BETA, ONE, SQRT3, ZERO, QuadElem, is_perfect_square
 
 
 def test_alpha_beta_sum_and_product():
@@ -176,23 +176,6 @@ def test_zero_normalises_whatever_its_denominator(p, d):
 def test_scaling_by_zero_is_an_error():
     with pytest.raises(ZeroDivisionError):
         ALPHA / 0  # noqa: B018
-
-
-def test_isqrt_examples():
-    assert isqrt(0) == 0
-    assert isqrt(361) == 19
-    assert isqrt(362) == 19
-
-
-def test_isqrt_rejects_negative():
-    with pytest.raises(ValueError):
-        isqrt(-1)
-
-
-@given(st.integers(min_value=0, max_value=10**40))
-def test_isqrt_floor_postcondition(m):
-    q = isqrt(m)
-    assert q * q <= m < (q + 1) * (q + 1)
 
 
 def test_is_perfect_square_examples():

@@ -1,30 +1,36 @@
+import sys
+import tracemalloc
+
 import pytest
 
-from triavg.identities import (
-    IdentityReport,
-    _expect,
-    check_congruences,
-    check_discriminant,
-    check_linkages,
-    check_lucas_identities,
-    check_v_square,
-    run_all,
-)
+from triavg import identities
+from triavg.convergents import numerators
+from triavg.identities import SUITES, IdentityReport, run_all
+from triavg.recurrences import sequence_prefix, terms
 
-ALL_CHECKERS = [
-    check_lucas_identities,
-    check_discriminant,
-    check_congruences,
-    check_linkages,
-    check_v_square,
-]
+# The five suites over the recurrence family, keyed by their test ids.
+FAMILY_SUITES = {
+    "check_lucas_identities": "lucas",
+    "check_discriminant": "discriminant",
+    "check_congruences": "congruences",
+    "check_linkages": "linkages",
+    "check_v_square": "v-square",
+}
 
 
-def test_expect_records_mismatches_only():
-    failures = []
-    _expect(failures, 3, 10, 10)
-    _expect(failures, 4, 10, 11)
-    assert failures == [(4, 10, 11)]
+def test_expect_records_mismatches_only(monkeypatch):
+    # A stub suite whose second comparison fails at n = 1 only.
+    monkeypatch.setitem(SUITES, "stub", (0, lambda w: [(10, 10), (10, 10 + (w.n == 1))]))
+    (report,) = run_all(3, ["stub"])
+    assert report.failures == [(1, 10, 11)]
+
+
+def test_suite_runs_from_its_first_index(monkeypatch):
+    seen = []
+    monkeypatch.setitem(SUITES, "stub", (1, lambda w: seen.append(w.n) or []))
+    (report,) = run_all(3, ["stub"])
+    assert seen == [1, 2, 3]
+    assert report == IdentityReport("stub", (1, 3), [])
 
 
 def test_report_ok_property():
@@ -35,7 +41,7 @@ def test_report_ok_property():
 def test_lucas_base_cases_by_hand():
     # L = 2, 4, 14, 52, 194, 724: L_0^2 = 4 = L_0 + 2, L_1*L_2 = 56 = L_3 + 4,
     # L_2^2 = 196 = L_4 + 2.
-    report = check_lucas_identities(2)
+    (report,) = run_all(2, ["lucas"])
     assert report.ok
     assert report.checked_range == (0, 2)
 
@@ -45,12 +51,12 @@ def test_discriminant_values_by_hand():
     # n=3: 1 + 12*20 + 12*400 = 5041 = 71^2.
     assert 1 + 12 * 5 + 12 * 25 == 361 == 724 // 2 - 1 == 19 * 19
     assert 1 + 12 * 20 + 12 * 400 == 5041 == 71 * 71
-    assert check_discriminant(3).ok
+    assert run_all(3, ["discriminant"])[0].ok
 
 
 def test_congruence_base_cases():
     # L_1 = 4 is divisible by 4, v_0 = 3 is 3 mod 6, u_2 = 19 is odd.
-    assert check_congruences(2).ok
+    assert run_all(2, ["congruences"])[0].ok
 
 
 def test_linkage_values_by_hand():
@@ -58,26 +64,26 @@ def test_linkage_values_by_hand():
     assert (19 - 3) // 2 == 8
     assert (33 - 3) // 6 == 5
     assert 33 - 9 == 24 == 6 * 4
-    assert check_linkages(4).ok
+    assert run_all(4, ["linkages"])[0].ok
 
 
 def test_v_square_chain_by_hand():
     # n=1: 81 = 3*(25 + 2) = 3*(52 + 2)/2 = 3*(11 + 12 + 4).
     assert 9 * 9 == 3 * (25 + 2) == 3 * (52 + 2) // 2 == 3 * (11 + 12 * 1 + 4 * 1)
-    assert check_v_square(2).ok
+    assert run_all(2, ["v-square"])[0].ok
 
 
-@pytest.mark.parametrize("checker", ALL_CHECKERS, ids=lambda fn: fn.__name__)
-def test_checkers_pass_to_64(checker):
-    report = checker(64)
+@pytest.mark.parametrize("name", FAMILY_SUITES.values(), ids=FAMILY_SUITES.keys())
+def test_checkers_pass_to_64(name):
+    (report,) = run_all(64, [name])
     assert report.ok
     assert report.checked_range == (0, 64)
 
 
-@pytest.mark.parametrize("checker", ALL_CHECKERS, ids=lambda fn: fn.__name__)
-def test_checkers_reject_bad_range(checker):
+@pytest.mark.parametrize("name", FAMILY_SUITES.values(), ids=FAMILY_SUITES.keys())
+def test_checkers_reject_bad_range(name):
     with pytest.raises(ValueError):
-        checker(0)
+        run_all(0, [name])
 
 
 def test_run_all_small_and_large():
@@ -92,11 +98,58 @@ def test_run_all_at_one_thousand():
     assert all(report.ok for report in reports)
 
 
+def test_run_all_reports_the_named_suites_in_order():
+    reports = run_all(4, ["differences", "lucas"])
+    assert [(r.name, r.checked_range) for r in reports] == [("differences", (1, 4)), ("lucas", (0, 4))]
+    assert [r.name for r in run_all(4)] == list(SUITES)
+
+
 def test_reports_are_deterministic():
-    assert check_lucas_identities(50) == check_lucas_identities(50)
+    assert run_all(50, ["lucas"]) == run_all(50, ["lucas"])
     assert run_all(20) == run_all(20)
 
 
 def test_report_names_are_distinct():
     names = [report.name for report in run_all(2)]
     assert len(names) == len(set(names))
+
+
+def test_run_all_holds_no_prefix():
+    max_n = 2000
+    L = sequence_prefix("L", 2 * max_n + 2)
+    prefix_bytes = sys.getsizeof(L) + sum(sys.getsizeof(term) for term in L)
+    del L
+    tracemalloc.start()
+    try:
+        reports = run_all(max_n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(report.ok for report in reports)
+    assert peak < prefix_bytes / 4, (peak, prefix_bytes)
+
+
+# (stream, index of the one corrupted term, n that reads it, suites reading it at n)
+CORRUPTIONS = [
+    ("u", 5, 5, {"discriminant", "congruences", "linkages", "v-square", "bisection", "differences"}),
+    ("L", 11, 5, {"lucas", "discriminant", "congruences", "v-square"}),  # L_{2n+1}
+    ("L", 5, 5, {"lucas", "differences"}),  # L_n
+    ("z", 11, 5, {"bisection", "differences"}),  # z_{2n+1}
+]
+
+
+@pytest.mark.parametrize("stream, index, n, readers", CORRUPTIONS)
+def test_one_corrupted_term_fails_every_suite_that_reads_it(monkeypatch, stream, index, n, readers):
+    def bump(values):
+        return (term + 1 if i == index else term for i, term in enumerate(values))
+
+    if stream == "z":
+        monkeypatch.setattr(identities, "numerators", lambda: bump(numerators()))
+    else:
+        monkeypatch.setattr(identities, "terms", lambda seq: bump(terms(seq)) if seq == stream else terms(seq))
+    failing = {report.name for report in run_all(8) if any(f[0] == n for f in report.failures)}
+    assert failing == readers
+
+
+def test_corruptions_reach_every_suite():
+    assert set().union(*(readers for *_, readers in CORRUPTIONS)) == set(SUITES)

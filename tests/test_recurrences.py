@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from triavg.recurrences import (
     gf_coefficients,
     resolve_spec,
     sequence_prefix,
+    terms,
 )
 
 # Locally stored OEIS prefixes used as cross-checks (no network lookups).
@@ -68,6 +71,11 @@ def test_iterative_first_values():
 def test_iterative_rejects_negative_index():
     with pytest.raises(ValueError):
         eval_iterative(A_SPEC, -1)
+
+
+def test_terms_stream_the_prefix():
+    for seq in [*"abuvLF", RecurrenceSpec(k=-7, w0=3, w1=-2)]:
+        assert list(islice(terms(seq), 40)) == sequence_prefix(seq, 40)
 
 
 def test_closed_form_examples():

@@ -226,7 +226,7 @@ def test_scan_never_touches_the_recurrences(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the scan called the recurrences")
 
-    for name in ("eval_iterative", "eval_closed_form", "sequence_prefix"):
+    for name in ("eval_iterative", "eval_closed_form", "sequence_prefix", "terms"):
         monkeypatch.setattr(recurrences, name, refuse)
     # triavg.triangular holds eval_closed_form under its own name as well.
     monkeypatch.setattr(triangular_module, "eval_closed_form", refuse)
