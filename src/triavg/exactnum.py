@@ -7,7 +7,9 @@ value. Ring operations are plain big-integer arithmetic on the triples,
 and a denominator enters only through a rational operand or scale. The
 closed forms of this package have integer coefficients and end in one
 integer division by 12 or 2, so d stays 1 on every hot path and no gcd
-runs there. The module also has an exact perfect-square test.
+runs there. Powers track the norm of the running value, so that each
+squaring is two big squares (exact, since a^2 = 3b^2 + norm) rather than a
+square and two products. The module also has an exact perfect-square test.
 """
 
 from __future__ import annotations
@@ -117,17 +119,28 @@ class QuadElem:
         Bits are taken from the top, so each step multiplies by the base
         itself. For a base with small coefficients, such as ALPHA, that step
         costs linear time and only the squarings are big multiplications.
+
+        The running numerators a, b keep a^2 - 3b^2 = m, the norm of the
+        numerators x, y raised to the power reached so far, so a^2 = 3b^2 + m
+        holds exactly. Squaring then needs no a^2 and no a*b:
+        a^2 + 3b^2 = 6b^2 + m and 2ab = (a + b)^2 - 4b^2 - m. Each bit costs
+        the two big squares b^2 and (a + b)^2 plus m^2. For a unit such as
+        ALPHA or BETA, m stays +-1 and m^2 is free; for any other base m^2
+        is a third big square, which for a rational base is twice a's length.
         """
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             raise ValueError("QuadElem powers are defined for n >= 0 only")
         x, y = self._a, self._b
-        a, b = 1, 0
+        norm = x * x - 3 * y * y
+        a, b, m = 1, 0, 1
         for bit in f"{n:b}":
-            a, b = a * a + 3 * b * b, 2 * a * b
+            bb = b * b
+            s = a + b
+            a, b, m = 6 * bb + m, s * s - 4 * bb - m, m * m
             if bit == "1":
-                a, b = a * x + 3 * b * y, a * y + b * x
+                a, b, m = a * x + 3 * b * y, a * y + b * x, m * norm
         return _make(a, b, self._d**n)
 
     def conjugate(self) -> QuadElem:

@@ -110,6 +110,22 @@ def _closed_form_weights(spec: RecurrenceSpec) -> tuple[QuadElem, QuadElem]:
     return weight_alpha, weight_beta
 
 
+def _weigh(weight_alpha: QuadElem, weight_beta: QuadElem, power: QuadElem) -> QuadElem:
+    """weight_alpha * power + weight_beta * conj(power), formed on the numerators.
+
+    With power = (p + q*sqrt(3)) / e and conj(power) = (p - q*sqrt(3)) / e, the
+    sum collects into one rational and one sqrt(3) numerator, so the weights
+    meet the big numerators in four small-by-big products and no ring
+    operation. The weights are brought to one denominator first.
+    """
+    p, q, e = power._a, power._b, power._d
+    xa, ya, da = weight_alpha._a, weight_alpha._b, weight_alpha._d
+    xb, yb, db = weight_beta._a, weight_beta._b, weight_beta._d
+    if da != db:
+        xa, ya, xb, yb, da = xa * db, ya * db, xb * da, yb * da, da * db
+    return _make((xa + xb) * p + 3 * (ya - yb) * q, (ya + yb) * p + (xa - xb) * q, da * e)
+
+
 def eval_closed_form(spec: RecurrenceSpec, n: int) -> int:
     """w_n = -k/2 + c_a*alpha^n + c_b*beta^n, evaluated exactly in Z[sqrt(3)].
 
@@ -121,8 +137,7 @@ def eval_closed_form(spec: RecurrenceSpec, n: int) -> int:
     """
     _require_index(n)
     weight_alpha, weight_beta = _closed_form_weights(spec)
-    power = ALPHA**n
-    value = weight_alpha * power + weight_beta * power.conjugate()
+    value = _weigh(weight_alpha, weight_beta, ALPHA**n)
     return _divide_exactly(value.as_integer() - 6 * spec.k, 12, "closed form", n)
 
 
@@ -130,9 +145,9 @@ def eval_via_L(spec: RecurrenceSpec, n: int) -> int:
     """w_n = -k/2 + (4s+k-2r)/12 * L_n + (k+4r-2s)/12 * L_{n-1}, n >= 1."""
     if n < 1:
         raise ValueError("the companion form references L_{n-1}, so n >= 1 is required")
-    k, r, s = spec.k, spec.w0, spec.w1
-    l_n = eval_iterative(L_SPEC, n)
-    l_prev = eval_iterative(L_SPEC, n - 1)
+    k, r, s = spec
+    lucas = islice(terms(L_SPEC), n - 1, None)
+    l_prev, l_n = next(lucas), next(lucas)
     twelve_w = -6 * k + (4 * s + k - 2 * r) * l_n + (k + 4 * r - 2 * s) * l_prev
     return _divide_exactly(twelve_w, 12, "companion form", n)
 
@@ -173,8 +188,7 @@ _W_MINUS = SQRT3 - ONE
 def eval_u(n: int) -> int:
     """u_n = ((1+sqrt3)*alpha^n - (sqrt3-1)*beta^n) / 2."""
     _require_index(n)
-    power = ALPHA**n
-    twice_u = _W_PLUS * power - _W_MINUS * power.conjugate()
+    twice_u = _weigh(_W_PLUS, -_W_MINUS, ALPHA**n)
     return _divide_exactly(twice_u.as_integer(), 2, "u closed form", n)
 
 
@@ -185,9 +199,8 @@ def eval_v(n: int) -> int:
     multiplication by sqrt3 brings the value back to the integers.
     """
     _require_index(n)
-    power = ALPHA**n
-    bracket = _W_PLUS * power + _W_MINUS * power.conjugate()
-    if bracket.a:
+    bracket = _weigh(_W_PLUS, _W_MINUS, ALPHA**n)
+    if bracket._a:
         raise ArithmeticError(f"expected a pure sqrt(3) multiple, got {bracket.size_summary()}")
     return _divide_exactly((SQRT3 * bracket).as_integer(), 2, "v closed form", n)
 

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from triavg.exactnum import ALPHA, BETA, ONE, SQRT3, ZERO, QuadElem, is_perfect_square
+from triavg.recurrences import terms
 
 
 def test_alpha_beta_sum_and_product():
@@ -29,11 +30,37 @@ def test_pow_basics():
     assert ALPHA**2 == QuadElem(7, 4)
 
 
+# Norms 1, 1, 1, -2, 0 and 13/16: units, a negative norm, zero, a denominator.
+POW_BASES = [ALPHA, BETA, -ALPHA, ONE + SQRT3, ZERO, QuadElem(Fraction(5, 4), Fraction(-1, 2))]
+
+
+def norm(x):
+    return x.a * x.a - 3 * x.b * x.b
+
+
 def test_pow_matches_repeated_multiplication():
-    acc = ONE
-    for n in range(12):
-        assert ALPHA**n == acc
-        acc = acc * ALPHA
+    for base in POW_BASES:
+        acc = ONE
+        for n in range(40):
+            assert base**n == acc, (base, n)
+            acc = acc * base
+
+
+@pytest.mark.parametrize("base", POW_BASES, ids=str)
+def test_pow_keeps_the_norm_multiplicative(base):
+    for n in range(70):
+        assert norm(base**n) == norm(base) ** n
+
+
+def test_alpha_powers_match_iterated_l_and_f():
+    # alpha^n = L_n/2 + F_n*sqrt(3), with L and F from their recurrences, at
+    # exponents whose bit patterns are all ones, a lone one, and 1...01.
+    exponents = {2**k + j for k in range(17) for j in (-1, 0, 1)}
+    for n, l_n, f_n in zip(range(max(exponents) + 1), terms("L"), terms("F")):
+        if n in exponents:
+            power = ALPHA**n
+            assert power == QuadElem(Fraction(l_n, 2), f_n)
+            assert norm(power) == 1
 
 
 def test_pow_rejects_negative_exponent():
@@ -147,7 +174,7 @@ def test_scaling_matches_fraction_pair_reference(p, c):
     assert as_pair(c - x) == (c - a, -b)
 
 
-@given(pairs, st.integers(min_value=0, max_value=8))
+@given(pairs, st.integers(min_value=0, max_value=40))
 def test_pow_matches_repeated_multiplication_with_denominators(p, n):
     x = QuadElem(*p)
     acc = ONE
