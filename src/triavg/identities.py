@@ -1,10 +1,13 @@
 """Instance verification of the identities and congruences linking the sequences.
 
 One pass over n runs every selected suite on a window of terms at that n.
-Each sequence comes from its own generator, so no prefix is held: a, b, u,
-v and F from their recurrences, L from two runs of its recurrence (one at
-n, one at 2n), and z from the continued-fraction ladder, which shares
-nothing with u. Each check evaluates both sides of an identity from
+Each suite declares the window terms it reads, and only the streams those
+terms come from are advanced. Each sequence comes from its own generator,
+so no prefix is held: a, b, u, v and F from their recurrences, L from two
+runs of its recurrence (one at n, one at 2n), and z from the
+continued-fraction ladder, which shares nothing with u. Each of a, b, u, v
+and L is squared once per index, from its own term, and every suite reads
+that one square. Each check evaluates both sides of an identity from
 independently computed sequences (never the same value against itself),
 and mismatches are reported instead of raised, so a report is useful for
 diffing when something breaks.
@@ -12,7 +15,7 @@ diffing when something breaks.
 
 from __future__ import annotations
 
-from itertools import chain, islice, pairwise
+from itertools import chain, islice, pairwise, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .convergents import numerators
@@ -35,46 +38,79 @@ class IdentityReport(NamedTuple):
 
 
 class Window(NamedTuple):
-    """The terms the suites read at index n; the *_prev terms are None at n = 0."""
+    """The terms the suites read at index n.
+
+    A term whose stream no selected suite reads is None, and so is an
+    unread square and each *_prev term at n = 0. Each x_sq is x * x,
+    squared once from x's own stream.
+    """
 
     n: int
-    a: int
-    b: int
-    u: int
+    a: int | None
+    a_sq: int | None
+    b: int | None
+    b_sq: int | None
+    u: int | None
+    u_sq: int | None
     u_prev: int | None  # u_{n-1}
-    v: int
+    v: int | None
+    v_sq: int | None
     v_prev: int | None  # v_{n-1}
-    F: int
-    L: int
-    L_next: int  # L_{n+1}
-    L_even: int  # L_{2n}
-    L_odd: int  # L_{2n+1}
+    F: int | None
+    L: int | None
+    L_sq: int | None
+    L_next: int | None  # L_{n+1}
+    L_even: int | None  # L_{2n}
+    L_odd: int | None  # L_{2n+1}
     z_prev: int | None  # z_{2n-1}
-    z_even: int  # z_{2n}
-    z_odd: int  # z_{2n+1}
+    z_even: int | None  # z_{2n}
+    z_odd: int | None  # z_{2n+1}
 
 
-def _windows() -> Iterator[Window]:
-    """The windows at n = 0, 1, 2, ...; every stream moves on once per window."""
-    L_twice, z = terms("L"), numerators()
-    z_odd = None  # z_{-1}, which no suite reads
-    streams = zip(
-        terms("a"),
-        terms("b"),
-        pairwise(chain([None], terms("u"))),
-        pairwise(chain([None], terms("v"))),
-        terms("F"),
-        pairwise(terms("L")),
-        zip(L_twice, L_twice),
+def _pairs(values: Iterator[int]) -> Iterator[tuple[int, int]]:
+    """(x_{2n}, x_{2n+1}) at n = 0, 1, ..."""
+    return zip(values, values)
+
+
+def _windows(reads: set[str]) -> Iterator[Window]:
+    """The windows at n = 0, 1, 2, ...
+
+    A stream moves only if a term drawn from it is read, and a square is
+    taken only if it is read.
+    """
+
+    def stream(names: tuple[str, ...], make: Callable[[], Iterator], idle: object = None) -> Iterator:
+        return repeat(idle) if reads.isdisjoint(names) else make()
+
+    rows = zip(
+        stream(("a", "a_sq"), lambda: terms("a")),
+        stream(("b", "b_sq"), lambda: terms("b")),
+        stream(("u", "u_sq", "u_prev"), lambda: pairwise(chain([None], terms("u"))), (None, None)),
+        stream(("v", "v_sq", "v_prev"), lambda: pairwise(chain([None], terms("v"))), (None, None)),
+        stream(("F",), lambda: terms("F")),
+        stream(("L", "L_sq", "L_next"), lambda: pairwise(terms("L")), (None, None)),
+        stream(("L_even", "L_odd"), lambda: _pairs(terms("L")), (None, None)),
+        stream(("z_prev", "z_even", "z_odd"), lambda: _pairs(numerators()), (None, None)),
     )
-    for n, (a, b, (u_prev, u), (v_prev, v), F, (L, L_next), (L_even, L_odd)) in enumerate(streams):
-        z_prev, z_even, z_odd = z_odd, next(z), next(z)
-        yield Window(n, a, b, u, u_prev, v, v_prev, F, L, L_next, L_even, L_odd, z_prev, z_even, z_odd)
+    sq_a, sq_b, sq_u, sq_v, sq_L = (f"{x}_sq" in reads for x in "abuvL")
+    z_odd = None
+    for n, (a, b, (u_prev, u), (v_prev, v), F, (L, L_next), (L_even, L_odd), (z_even, z_next_odd)) in enumerate(rows):
+        z_prev, z_odd = z_odd, z_next_odd
+        yield Window(
+            n,
+            a, a * a if sq_a else None,
+            b, b * b if sq_b else None,
+            u, u * u if sq_u else None, u_prev,
+            v, v * v if sq_v else None, v_prev,
+            F,
+            L, L * L if sq_L else None, L_next, L_even, L_odd,
+            z_prev, z_even, z_odd,
+        )
 
 
 def _lucas(w: Window) -> Pairs:
     """L_n^2 = L_{2n} + 2 and L_n * L_{n+1} = L_{2n+1} + 4."""
-    return [(w.L * w.L, w.L_even + 2), (w.L * w.L_next, w.L_odd + 4)]
+    return [(w.L_sq, w.L_even + 2), (w.L * w.L_next, w.L_odd + 4)]
 
 
 def _discriminant(w: Window) -> Pairs:
@@ -86,13 +122,13 @@ def _discriminant(w: Window) -> Pairs:
     half, odd = divmod(w.L_odd, 2)
     if odd:
         return [(odd, 0)]
-    disc = 1 + 12 * w.a + 12 * w.a * w.a
-    return [(disc, half - 1), (disc, w.u * w.u)]
+    disc = 1 + 12 * (w.a + w.a_sq)
+    return [(disc, half - 1), (disc, w.u_sq)]
 
 
 def _congruences(w: Window) -> Pairs:
     """u_n odd, L_{2n+1} divisible by 4, v_n = 3 (mod 6)."""
-    return [(w.u % 2, 1), (w.L_odd % 4, 0), (w.v % 6, 3)]
+    return [(w.u & 1, 1), (w.L_odd & 3, 0), (w.v % 6, 3)]
 
 
 def _linkages(w: Window) -> Pairs:
@@ -117,12 +153,12 @@ def _v_square(w: Window) -> Pairs:
     check on the halving (L_{2n+1} + 2 is even because L_{2n+1} is a
     multiple of 4).
     """
-    vsq = w.v * w.v
+    vsq = w.v_sq
     half, odd = divmod(w.L_odd + 2, 2)
     return [
-        (vsq, 3 * (w.u * w.u + 2)),
+        (vsq, 3 * (w.u_sq + 2)),
         (odd, 0) if odd else (vsq, 3 * half),
-        (vsq, 3 * (11 + 12 * w.b + 4 * w.b * w.b)),
+        (vsq, 3 * (11 + 12 * w.b + 4 * w.b_sq)),
     ]
 
 
@@ -140,31 +176,33 @@ def _differences(w: Window) -> Pairs:
     ]
 
 
-# Every suite, in report order: name -> (first index, per-index check).
-SUITES: dict[str, tuple[int, Callable[[Window], Pairs]]] = {
-    "lucas": (0, _lucas),
-    "discriminant": (0, _discriminant),
-    "congruences": (0, _congruences),
-    "linkages": (0, _linkages),
-    "v-square": (0, _v_square),
-    "bisection": (0, _bisection),
-    "differences": (1, _differences),
+# Every suite, in report order: name -> (first index, window terms read, per-index check).
+SUITES: dict[str, tuple[int, frozenset[str], Callable[[Window], Pairs]]] = {
+    "lucas": (0, frozenset({"L", "L_sq", "L_next", "L_even", "L_odd"}), _lucas),
+    "discriminant": (0, frozenset({"a", "a_sq", "u_sq", "L_odd"}), _discriminant),
+    "congruences": (0, frozenset({"u", "v", "L_odd"}), _congruences),
+    "linkages": (0, frozenset({"a", "b", "u", "v", "v_prev", "F"}), _linkages),
+    "v-square": (0, frozenset({"b", "b_sq", "u_sq", "v_sq", "L_odd"}), _v_square),
+    "bisection": (0, frozenset({"u", "z_odd"}), _bisection),
+    "differences": (1, frozenset({"u", "u_prev", "L", "z_prev", "z_even", "z_odd"}), _differences),
 }
 
 
 def run_all(max_n: int, names: Iterable[str] = SUITES) -> list[IdentityReport]:
     """Reports of the named suites (by default all, in SUITES order) up to max_n.
 
-    One pass over n = 0..max_n; a suite's report covers its first index to
-    max_n and lists each comparison that failed as (n, lhs, rhs).
+    One pass over n = 0..max_n that advances only the streams the named
+    suites read; a suite's report covers its first index to max_n and lists
+    each comparison that failed as (n, lhs, rhs).
     """
     if max_n < 1:
         raise ValueError(f"max_n must be positive, got {max_n}")
     suites = [(name, *SUITES[name], []) for name in names]
-    for w in islice(_windows(), max_n + 1):
-        for _, first, check, failures in suites:
+    reads = set().union(*(suite_reads for _, _, suite_reads, _, _ in suites))
+    for w in islice(_windows(reads), max_n + 1):
+        for _, first, _, check, failures in suites:
             if w.n >= first:
                 for lhs, rhs in check(w):
                     if lhs != rhs:
                         failures.append((w.n, lhs, rhs))
-    return [IdentityReport(name, (first, max_n), failures) for name, first, _, failures in suites]
+    return [IdentityReport(name, (first, max_n), failures) for name, first, _, _, failures in suites]

@@ -290,7 +290,7 @@ def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
     def broken_check(w):
         return {0: [(4, 5)], 1: [(56, 57)]}.get(w.n, [])
 
-    monkeypatch.setitem(SUITES, "lucas", (0, broken_check))
+    monkeypatch.setitem(SUITES, "lucas", (0, frozenset(), broken_check))
     code, out, _ = run_cli(capsys, "verify", "--suite", "lucas", "--max-n", "4")
     assert code == 1
     lines = out.splitlines()

@@ -63,6 +63,14 @@ def test_alpha_powers_match_iterated_l_and_f():
             assert norm(power) == 1
 
 
+@pytest.mark.parametrize("q", [0, 1, 3, -1, Fraction(-7, 4), Fraction(2, 9)], ids=str)
+def test_rational_powers_match_fraction_powers(q):
+    base = QuadElem(q, 0)
+    for n in range(41):
+        power = base**n
+        assert (power.a, power.b) == (Fraction(q) ** n, 0), n
+
+
 def test_pow_rejects_negative_exponent():
     with pytest.raises(ValueError):
         ALPHA ** (-1)

@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from itertools import islice
 
 import pytest
 
@@ -8,26 +9,28 @@ from triavg.convergents import numerators
 from triavg.identities import SUITES, IdentityReport, run_all
 from triavg.recurrences import sequence_prefix, terms
 
-# The five suites over the recurrence family, keyed by their test ids.
-FAMILY_SUITES = {
+# Every suite, keyed by its test id.
+SUITE_IDS = {
     "check_lucas_identities": "lucas",
     "check_discriminant": "discriminant",
     "check_congruences": "congruences",
     "check_linkages": "linkages",
     "check_v_square": "v-square",
+    "check_bisection": "bisection",
+    "check_differences": "differences",
 }
 
 
 def test_expect_records_mismatches_only(monkeypatch):
     # A stub suite whose second comparison fails at n = 1 only.
-    monkeypatch.setitem(SUITES, "stub", (0, lambda w: [(10, 10), (10, 10 + (w.n == 1))]))
+    monkeypatch.setitem(SUITES, "stub", (0, frozenset(), lambda w: [(10, 10), (10, 10 + (w.n == 1))]))
     (report,) = run_all(3, ["stub"])
     assert report.failures == [(1, 10, 11)]
 
 
 def test_suite_runs_from_its_first_index(monkeypatch):
     seen = []
-    monkeypatch.setitem(SUITES, "stub", (1, lambda w: seen.append(w.n) or []))
+    monkeypatch.setitem(SUITES, "stub", (1, frozenset(), lambda w: seen.append(w.n) or []))
     (report,) = run_all(3, ["stub"])
     assert seen == [1, 2, 3]
     assert report == IdentityReport("stub", (1, 3), [])
@@ -73,14 +76,85 @@ def test_v_square_chain_by_hand():
     assert run_all(2, ["v-square"])[0].ok
 
 
-@pytest.mark.parametrize("name", FAMILY_SUITES.values(), ids=FAMILY_SUITES.keys())
+@pytest.mark.parametrize("name", SUITE_IDS.values(), ids=SUITE_IDS.keys())
 def test_checkers_pass_to_64(name):
+    # Run alone, a suite sees None for each stream and each square it did
+    # not declare, so a suite that reads one of those fails here.
     (report,) = run_all(64, [name])
     assert report.ok
-    assert report.checked_range == (0, 64)
+    assert report.checked_range == (SUITES[name][0], 64)
 
 
-@pytest.mark.parametrize("name", FAMILY_SUITES.values(), ids=FAMILY_SUITES.keys())
+def test_suite_ids_cover_every_suite():
+    assert sorted(SUITE_IDS.values()) == sorted(SUITES)
+
+
+@pytest.mark.parametrize(
+    "names, letters",
+    [(["bisection"], {"u"}), (["lucas"], {"L"}), (["linkages"], {"a", "b", "u", "v", "F"}), (list(SUITES), set("abuvFL"))],
+)
+def test_run_all_asks_only_for_the_streams_its_suites_read(monkeypatch, names, letters):
+    asked = []
+    monkeypatch.setattr(identities, "terms", lambda seq: asked.append(seq) or terms(seq))
+    assert all(report.ok for report in run_all(5, names))
+    assert set(asked) == letters
+
+
+# The window terms drawn from each stream.
+STREAMS = [
+    {"a", "a_sq"},
+    {"b", "b_sq"},
+    {"u", "u_sq", "u_prev"},
+    {"v", "v_sq", "v_prev"},
+    {"F"},
+    {"L", "L_sq", "L_next"},
+    {"L_even", "L_odd"},
+    {"z_prev", "z_even", "z_odd"},
+]
+SQUARES = {"a_sq", "b_sq", "u_sq", "v_sq", "L_sq"}
+
+
+def test_a_window_holds_only_the_streams_and_squares_read():
+    for _, reads, _ in SUITES.values():
+        moving = set().union(*(stream for stream in STREAMS if stream & reads))
+        for w in islice(identities._windows(set(reads)), 3):
+            held = {field for field, value in w._asdict().items() if value is not None}
+            unset_at_zero = {"u_prev", "v_prev", "z_prev"} if w.n == 0 else set()
+            assert held == moving - (SQUARES - reads) - unset_at_zero | {"n"}
+
+
+class _Recorder:
+    """A window that records the fields read from it."""
+
+    def __init__(self, window):
+        self._window, self.read = window, set()
+
+    def __getattr__(self, field):
+        self.read.add(field)
+        return getattr(self._window, field)
+
+
+@pytest.mark.parametrize("name", SUITE_IDS.values(), ids=SUITE_IDS.keys())
+def test_each_suite_reads_exactly_the_terms_it_declares(name):
+    _, reads, check = SUITES[name]
+    seen = set()
+    for w in islice(identities._windows(set(identities.Window._fields)), 1, 4):
+        recorder = _Recorder(w)
+        check(recorder)
+        seen |= recorder.read
+    assert seen - {"n"} == reads
+
+
+def test_each_square_is_squared_from_its_own_term(monkeypatch):
+    # Every stream is shifted by its own offset, so a square taken from
+    # another stream, or through an identity, no longer matches its term.
+    shifts = {"a": 1, "b": 2, "u": 3, "v": 5, "F": 7, "L": 11}
+    monkeypatch.setattr(identities, "terms", lambda seq: (term + shifts[seq] for term in terms(seq)))
+    for w in islice(identities._windows(set(identities.Window._fields)), 40):
+        assert [w.a_sq, w.b_sq, w.u_sq, w.v_sq, w.L_sq] == [w.a**2, w.b**2, w.u**2, w.v**2, w.L**2]
+
+
+@pytest.mark.parametrize("name", SUITE_IDS.values(), ids=SUITE_IDS.keys())
 def test_checkers_reject_bad_range(name):
     with pytest.raises(ValueError):
         run_all(0, [name])
@@ -135,6 +209,10 @@ CORRUPTIONS = [
     ("L", 11, 5, {"lucas", "discriminant", "congruences", "v-square"}),  # L_{2n+1}
     ("L", 5, 5, {"lucas", "differences"}),  # L_n
     ("z", 11, 5, {"bisection", "differences"}),  # z_{2n+1}
+    ("a", 5, 5, {"discriminant", "linkages"}),
+    ("b", 5, 5, {"linkages", "v-square"}),
+    ("v", 5, 5, {"congruences", "linkages", "v-square"}),
+    ("F", 5, 5, {"linkages"}),
 ]
 
 
