@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 from .convergents import cf_sqrt3
 from .identities import SUITES, IdentityReport, run_all
 from .recurrences import B_SPEC, RecurrenceSpec, eval_closed_form, resolve_spec, sequence_prefix
-from .triangular import WHEEL_MODULUS, enumerate_solutions, prefix_average, witness
+from .triangular import SIEVE_MODULI, enumerate_solutions, prefix_average, witness
 
 PREFIX_WARN_THRESHOLD = 10**6
 
@@ -120,8 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Scans s up to --max-s, inverting the average equation via "
             "r = (sqrt(3*(11 + 12s + 4s^2)) - 3) / 6, and flags each hit "
             "against the recurrence-predicted pairs (b_n, a_n). Residue "
-            f"classes of s mod {WHEEL_MODULUS} whose radicand cannot be a "
-            "square are skipped; every other s is decided exactly."
+            f"classes of s modulo {', '.join(map(str, SIEVE_MODULI))} whose "
+            "radicand cannot be a square are struck out; every other s is "
+            "decided exactly."
         ),
     )
     solve.add_argument("--max-s", type=_positive_int, required=True, help="scan bound for s")

@@ -3,19 +3,16 @@
 Asking for the average of the first s triangular numbers to be the r-th
 triangular number leads to s^2 + 3s + 2 = 3r^2 + 3r. This module is the
 ground-truth side of the project: it solves that equation by radical
-inversion and by a scan that skips only the residue classes where no square
-can occur, with no recourse to the recurrences, and it
-packages fully verified (s, average, r) witnesses for the indices that the
-recurrences predict.
+inversion and by a scan that strikes only the residue classes where no
+square can occur, with no recourse to the recurrences, and it packages fully
+verified (s, average, r) witnesses for the indices that the recurrences
+predict.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
-from array import array
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -26,13 +23,15 @@ from .recurrences import A_SPEC, B_SPEC, eval_closed_form
 # product formula is used; below it, both are computed and must agree.
 LITERAL_SUM_CUTOFF = 10**5
 
-# Pairwise coprime prime powers whose product is the period of the scan's
-# residue wheel. Powers of 2 are left out: with x = 2s + 3 odd, the radicand
-# 3*(x^2 + 2) is 1 mod 8, a square modulo every power of 2. 81 strikes out 57
-# of its 81 classes; 243 would strike out little more for a period three
-# times as long.
-WHEEL_FACTORS = (81, 5, 7, 11, 13)
-WHEEL_MODULUS = math.prod(WHEEL_FACTORS)
+# The moduli of the scan's residue sieve: 81 and the odd primes up to 61.
+# Powers of 2 are left out: with x = 2s + 3 odd, the radicand 3*(x^2 + 2) is
+# 1 mod 8, a square modulo every power of 2. 81 strikes out 57 of its 81
+# classes and each prime about half of its own, so about one s in 10^5
+# survives them all; fewer moduli leave more survivors, and each costs a
+# block-wide bit pop as well as its exact test.
+SIEVE_MODULI = (81, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+# The scan sieves this many consecutive s per pass, one bit each.
+SIEVE_BLOCK = 2**14
 
 
 def triangular(k: int) -> int:
@@ -127,47 +126,51 @@ def solve_r_for_s(s: int) -> int | None:
 
 
 @functools.cache
-def wheel_offsets() -> array:
-    """The sorted residues s mod WHEEL_MODULUS whose radicand can be a square.
+def residue_masks() -> tuple[tuple[int, int], ...]:
+    """One (q, mask) per modulus q in SIEVE_MODULI, for the scan's sieve.
 
-    Built from the equation alone, once per process on the first scan: each
-    factor q of the modulus strikes out every class s mod q for which
-    3*(11 + 12s + 4s^2), solve_r_for_s's radicand, is not a square mod q. A
-    true square is a square modulo anything, so no struck class holds a
-    solution. The array is shared; callers must not change it.
+    Built from the equation alone, once per process on the first scan: bit i
+    of mask is set if and only if 3*(11 + 12i + 4i^2), solve_r_for_s's
+    radicand at s = i, is a square mod q. A true square is a square modulo
+    anything, so no s whose bit is clear can be a solution. The pattern
+    repeats with period q over SIEVE_BLOCK + q bits, so mask >> (start % q)
+    holds the bits of s = start .. start + SIEVE_BLOCK - 1 for any start.
     """
-    sieve = bytearray([1]) * WHEEL_MODULUS
-    for q in WHEEL_FACTORS:
+    table = []
+    for q in SIEVE_MODULI:
         squares = {y * y % q for y in range(q)}
-        for c in range(q):
-            if 3 * (11 + 12 * c + 4 * c * c) % q not in squares:
-                sieve[c::q] = bytes(len(range(c, WHEEL_MODULUS, q)))
-    offsets = array("L")
-    s = sieve.find(1)
-    while s >= 0:
-        offsets.append(s)
-        s = sieve.find(1, s + 1)
-    return offsets
+        mask = sum(1 << c for c in range(q) if 3 * (11 + 12 * c + 4 * c * c) % q in squares)
+        width = q
+        while width < SIEVE_BLOCK + q:
+            mask |= mask << width
+            width *= 2
+        table.append((q, mask & ((1 << (SIEVE_BLOCK + q)) - 1)))
+    return tuple(table)
 
 
 def enumerate_solutions(s_max: int) -> list[tuple[int, int]]:
     """All (s, r) with 1 <= s <= s_max satisfying the equation, by scan.
 
-    Classes of s mod WHEEL_MODULUS whose radicand cannot be a square are
-    skipped (see wheel_offsets); every other s is decided exactly by
+    The s are sieved SIEVE_BLOCK at a time in one int, bit j standing for
+    s = start + j: each modulus of residue_masks strikes the classes whose
+    radicand cannot be a square, and every s left is decided exactly by
     solve_r_for_s. Both rest on the equation alone, so the scan stays an
-    oracle that is independent of the recurrence machinery.
+    oracle that is independent of the recurrence machinery. It holds one
+    block at a time, whatever s_max is.
     """
     if s_max < 1:
         raise ValueError(f"s_max must be positive, got {s_max}")
-    offsets = wheel_offsets()
+    masks = residue_masks()
     found = []
-    for base in range(0, s_max + 1, WHEEL_MODULUS):
-        # Only s >= 1 counts, and the last period stops at s_max.
-        lo = bisect_left(offsets, 1 - base)
-        hi = bisect_right(offsets, s_max - base)
-        for offset in offsets[lo:hi]:
-            s = base + offset
+    for start in range(0, s_max + 1, SIEVE_BLOCK):
+        # One bit per s up to s_max; s = 0, bit 0 of the first block, is no count.
+        alive = (1 << min(SIEVE_BLOCK, s_max + 1 - start)) - (2 if start == 0 else 1)
+        for q, mask in masks:
+            alive &= mask >> start % q
+        while alive:
+            low = alive & -alive
+            alive ^= low
+            s = start + low.bit_length() - 1
             r = solve_r_for_s(s)
             if r is not None:
                 found.append((s, r))

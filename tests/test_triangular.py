@@ -1,5 +1,6 @@
 import importlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,20 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triavg import recurrences
-from triavg.recurrences import A_SPEC, B_SPEC, eval_iterative
+from triavg.recurrences import A_SPEC, B_SPEC, eval_iterative, sequence_prefix
 from triavg.triangular import (
     LITERAL_SUM_CUTOFF,
-    WHEEL_MODULUS,
+    SIEVE_BLOCK,
+    SIEVE_MODULI,
     TriangularWitness,
     check_pair,
     enumerate_solutions,
     is_triangular,
     prefix_average,
     prefix_sum,
+    residue_masks,
     solve_r_for_s,
     solve_s_for_r,
     triangular,
-    wheel_offsets,
     witness,
 )
 
@@ -195,11 +197,20 @@ def plain_scan(s_max):
     return [(s, r) for s in range(1, s_max + 1) if (r := solve_r_for_s(s)) is not None]
 
 
-def test_wheel_scan_agrees_with_the_plain_loop():
-    # One plain scan to 2M serves every bound: its hits up to a bound are
-    # what the plain loop returns at that bound.
-    reference = plain_scan(2 * WHEEL_MODULUS)
-    bounds = {1, WHEEL_MODULUS - 1, WHEEL_MODULUS, WHEEL_MODULUS + 1, 2 * WHEEL_MODULUS}
+def radicand_is_square_mod(q):
+    """For each s in 0..q-1: can solve_r_for_s's radicand be a square mod q?"""
+    squares = {y * y % q for y in range(q)}
+    return [3 * (11 + 12 * s + 4 * s * s) % q in squares for s in range(q)]
+
+
+def test_sieve_scan_agrees_with_the_plain_loop():
+    # One plain scan past 810,810 serves every bound: its hits up to a bound
+    # are what the plain loop returns at that bound.
+    blocks = 51
+    reference = plain_scan(blocks * SIEVE_BLOCK + 1)
+    bounds = {1}
+    for k in range(1, blocks + 1):
+        bounds |= {k * SIEVE_BLOCK - 1, k * SIEVE_BLOCK, k * SIEVE_BLOCK + 1}
     for s, _ in reference:
         if s <= 10**5:
             bounds |= {s - 1, s, s + 1} - {0}
@@ -208,16 +219,58 @@ def test_wheel_scan_agrees_with_the_plain_loop():
         assert enumerate_solutions(s_max) == [p for p in reference if p[0] <= s_max], s_max
 
 
-def test_wheel_skips_exactly_the_classes_whose_radicand_is_no_square():
-    # Exhaustive over one period: a class is kept if and only if its
-    # radicand is a square mod M, so no skipped class can hold a solution.
-    m = WHEEL_MODULUS
-    is_square = bytearray(m)
-    for y in range(m):
-        is_square[y * y % m] = 1
-    offsets = list(wheel_offsets())
-    expected = [s for s in range(m) if is_square[3 * (11 + 12 * s + 4 * s * s) % m]]
-    assert offsets == expected
+def test_each_mask_keeps_exactly_the_classes_whose_radicand_is_a_square():
+    # Exhaustive over every bit a scan can read: bit i is set if and only if
+    # the radicand of i is a square mod q, so no struck s can be a solution.
+    assert [q for q, _ in residue_masks()] == list(SIEVE_MODULI)
+    for q, mask in residue_masks():
+        width = SIEVE_BLOCK + q
+        assert mask.bit_length() <= width, q
+        keep = radicand_is_square_mod(q)
+        expected = "".join("1" if keep[i % q] else "0" for i in range(width))
+        assert format(mask, f"0{width}b")[::-1] == expected, q
+
+
+@pytest.mark.parametrize("moduli", [SIEVE_MODULI, (81, 5, 7)])
+def test_the_scan_decides_exactly_the_s_no_modulus_strikes(monkeypatch, moduli):
+    # Under the first three moduli alone about one s in ten survives, so the
+    # block edges and both ends of the range are read bit by bit.
+    s_max = 2 * SIEVE_BLOCK + 100
+    keep = {q: radicand_is_square_mod(q) for q in moduli}
+    expected = [s for s in range(1, s_max + 1) if all(keep[q][s % q] for q in moduli)]
+    table = tuple((q, mask) for q, mask in residue_masks() if q in moduli)
+    decided = []
+
+    def recording(s):
+        decided.append(s)
+        return solve_r_for_s(s)
+
+    monkeypatch.setattr(triangular_module, "residue_masks", lambda: table)
+    monkeypatch.setattr(triangular_module, "solve_r_for_s", recording)
+    assert enumerate_solutions(s_max) == plain_scan(s_max)
+    assert decided == expected
+
+
+def test_every_b_n_survives_every_mask():
+    # Soundness far past any scan: the recurrences serve only as the oracle
+    # here, naming solutions up to b_300, about 10^171.
+    masks = residue_masks()
+    for n, b in enumerate(sequence_prefix("b", 301)[1:], start=1):
+        for q, mask in masks:
+            assert mask >> b % q & 1, (n, q)
+
+
+def test_scan_holds_one_block_whatever_s_max_is():
+    # An s_max-bit mask for 10^6 would take 122 KiB on its own.
+    residue_masks.cache_clear()
+    tracemalloc.start()
+    try:
+        found = enumerate_solutions(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found[-1] == (358016, 206701)  # (b_10, a_10)
+    assert peak < 128 * 1024, peak
 
 
 def test_scan_never_touches_the_recurrences(monkeypatch):
@@ -231,7 +284,7 @@ def test_scan_never_touches_the_recurrences(monkeypatch):
     # triavg.triangular holds eval_closed_form under its own name as well.
     monkeypatch.setattr(triangular_module, "eval_closed_form", refuse)
     # Rebuild the table under the patch too.
-    wheel_offsets.cache_clear()
+    residue_masks.cache_clear()
     assert enumerate_solutions(10**4) == expected
 
 
