@@ -5,11 +5,6 @@ itself a triangular number, the a_n-th. Everything here exists either to
 generate the sequence family involved (a, b, u, v, L, F, and the convergent
 numerators z) or to verify, with exact integer arithmetic, the identities
 that make the statement true.
-
-The function ``triangular`` is re-exported here, and that name hides the
-submodule of the same name: ``triavg.triangular`` and ``from triavg import
-triangular`` give the function. Reach the module, for instance to
-monkeypatch it, through ``importlib.import_module("triavg.triangular")``.
 """
 
 from .convergents import Convergent, cf_sqrt3, numerators, z
@@ -44,7 +39,6 @@ from .triangular import (
     prefix_sum,
     solve_r_for_s,
     solve_s_for_r,
-    triangular,
     witness,
 )
 
@@ -79,7 +73,6 @@ __all__ = [
     "IdentityReport",
     "SUITES",
     "run_all",
-    "triangular",
     "is_triangular",
     "prefix_sum",
     "prefix_average",

@@ -2,8 +2,9 @@
 Diophantine equation, and print verified witnesses.
 
 Exit codes: 0 on success (all checks passing), 1 on a verification failure,
-2 on a usage error. Any other exception is an internal fault and propagates
-with its traceback, so it is never mistaken for bad input.
+2 on a usage error, an unwritable --out path included. Any other exception
+is an internal fault and propagates with its traceback, so it is never
+mistaken for bad input.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import decimal
+import functools
 import itertools
 import sys
 from decimal import Decimal
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
-from .convergents import cf_sqrt3
+from .convergents import numerators
 from .identities import SUITES, IdentityReport, run_all
 from .recurrences import B_SPEC, RecurrenceSpec, eval_closed_form, resolve_spec, sequence_prefix
 from .triangular import SIEVE_MODULI, enumerate_solutions, prefix_average, witness
@@ -101,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--w0", type=int, help="first term (custom only)")
     gen.add_argument("--w1", type=int, help="second term (custom only)")
     gen.add_argument("--out", help="write to this file instead of stdout")
-    gen.set_defaults(func=cmd_gen)
 
     verify = sub.add_parser(
         "verify",
@@ -111,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", default="all", help="suite name or 'all' (default: all)")
     verify.add_argument("--max-n", type=_positive_int, default=64, help="top index (default: 64)")
     verify.add_argument("--out", help="write to this file instead of stdout")
-    verify.set_defaults(func=cmd_verify)
 
     solve = sub.add_parser(
         "solve",
@@ -127,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--max-s", type=_positive_int, required=True, help="scan bound for s")
     solve.add_argument("--out", help="write to this file instead of stdout")
-    solve.set_defaults(func=cmd_solve)
 
     wit = sub.add_parser(
         "witness",
@@ -140,17 +139,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     wit.add_argument("n", type=_nonnegative_int, help="witness index, n >= 1")
     wit.add_argument("--out", help="write to this file instead of stdout")
-    wit.set_defaults(func=cmd_witness)
 
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first main call and shared by the rest."""
+    return build_parser()
+
+
+@contextlib.contextmanager
+def _open_out(path: str | None) -> Iterator[TextIO | None]:
+    """The --out file opened for writing, or None for stdout.
+
+    Opened before any work, so an unwritable path is a usage error reported
+    at once, not a traceback after the computation.
+    """
+    if path is None:
+        yield None
+        return
+    try:
+        handle = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path!r}: {exc.strerror}")
+    with handle:
+        yield handle
+
+
+def _emit(text: str, out: TextIO | None) -> None:
+    (sys.stdout if out is None else out).write(text)
 
 
 @contextlib.contextmanager
@@ -281,7 +299,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         )
     name, spec = _gen_request(args)
     if spec is None:
-        terms: list[int] | list[Decimal] = [c.p for c in cf_sqrt3(args.count)]
+        terms: list[int] | list[Decimal] = list(itertools.islice(numerators(), args.count))
     else:
         values = sequence_prefix(spec, args.count)
         if values[-1].bit_length() <= DECIMAL_FROM_BITS:
@@ -372,10 +390,13 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up per call, so a cmd_* replaced after import is the one that runs.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        # From here on args.out is the open file, or None for stdout.
+        with _open_out(args.out) as args.out:
+            return handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

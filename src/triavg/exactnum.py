@@ -1,21 +1,18 @@
-"""Exact arithmetic in the quadratic extension Q(sqrt(3)).
+"""Exact arithmetic in the ring Z[sqrt(3)].
 
-``QuadElem`` is the number (a + b*sqrt(3)) / d held as three Python ints:
-integer numerators a and b over one shared positive denominator d, kept
-reduced so that gcd(a, b, d) = 1. The stored triple is then unique per
-value. Ring operations are plain big-integer arithmetic on the triples,
-and a denominator enters only through a rational operand or scale. The
-closed forms of this package have integer coefficients and end in one
-integer division by 12 or 2, so d stays 1 on every hot path and no gcd
-runs there. Powers track the norm of the running value, so that each
-squaring is two big squares (exact, since a^2 = 3b^2 + norm) rather than a
-square and two products. The module also has an exact perfect-square test.
+``QuadElem`` is the number a + b*sqrt(3) held as two Python ints a and b.
+sqrt(3) is irrational, so the pair is unique per value, and ring operations
+are plain big-integer arithmetic on the pairs. The closed forms of this
+package need no denominator: they carry 12 times the rational coefficients
+of the paper as integer weights, and end in one exact integer division by
+12 or 2. Powers track the norm of the running value, so that each squaring
+is two big squares (exact, since a^2 = 3b^2 + norm) rather than a square
+and two products. The module also has an exact perfect-square test.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 def is_perfect_square(m: int) -> int | None:
@@ -27,106 +24,100 @@ def is_perfect_square(m: int) -> int | None:
 
 
 class QuadElem:
-    """The real number a + b*sqrt(3), with exact rational a and b.
+    """The real number a + b*sqrt(3), with int a and b.
 
-    Built from int or Fraction coefficients; ``.a`` and ``.b`` read them
-    back as Fractions. sqrt(3) is irrational, so the reduced triple is
-    unique per value and equality compares it directly. Sums, differences
-    and products stay in the ring. Division by another QuadElem is
-    deliberately not provided; scaling by a rational covers every use here.
-    Instances are immutable, like Fraction, whose slot layout this follows.
+    Built from two ints; ``.a`` and ``.b`` read them back. Sums, differences
+    and products, with each other or with ints, stay in the ring. ``/``
+    divides exactly by a nonzero int and raises ArithmeticError on a
+    remainder; division by another QuadElem is deliberately not provided.
+    Instances are immutable.
     """
 
-    __slots__ = ("_a", "_b", "_d")
+    __slots__ = ("_a", "_b")
 
-    def __init__(self, a: int | Fraction, b: int | Fraction) -> None:
+    def __init__(self, a: int, b: int) -> None:
         for name, value in (("a", a), ("b", b)):
-            if not isinstance(value, (int, Fraction)):
-                raise TypeError(
-                    f"{name} must be exact (int or Fraction), got {type(value).__name__}"
-                )
-        a, b = Fraction(a), Fraction(b)
-        # Over the lcm of two reduced denominators the triple is reduced too.
-        d = math.lcm(a.denominator, b.denominator)
-        self._a = a.numerator * (d // a.denominator)
-        self._b = b.numerator * (d // b.denominator)
-        self._d = d
+            if not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        self._a = a
+        self._b = b
 
     @property
-    def a(self) -> Fraction:
-        return Fraction(self._a, self._d)
+    def a(self) -> int:
+        return self._a
 
     @property
-    def b(self) -> Fraction:
-        return Fraction(self._b, self._d)
+    def b(self) -> int:
+        return self._b
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuadElem):
             return NotImplemented
-        return self._a == other._a and self._b == other._b and self._d == other._d
+        return self._a == other._a and self._b == other._b
 
     def __hash__(self) -> int:
-        return hash((self._a, self._b, self._d))
+        return hash((self._a, self._b))
 
-    def __add__(self, other: QuadElem | int | Fraction) -> QuadElem:
+    def __add__(self, other: QuadElem | int) -> QuadElem:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        d, e = self._d, other._d
-        if d == e:
-            return _make(self._a + other._a, self._b + other._b, d)
-        return _make(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
+        return _make(self._a + other._a, self._b + other._b)
 
     __radd__ = __add__
 
-    def __sub__(self, other: QuadElem | int | Fraction) -> QuadElem:
+    def __sub__(self, other: QuadElem | int) -> QuadElem:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self + -other
+        return _make(self._a - other._a, self._b - other._b)
 
-    def __rsub__(self, other: int | Fraction) -> QuadElem:
+    def __rsub__(self, other: int) -> QuadElem:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other + -self
+        return _make(other._a - self._a, other._b - self._b)
 
     def __neg__(self) -> QuadElem:
-        return _make(-self._a, -self._b, self._d)
+        return _make(-self._a, -self._b)
 
-    def __mul__(self, other: QuadElem | int | Fraction) -> QuadElem:
+    def __mul__(self, other: QuadElem | int) -> QuadElem:
         other = _coerce(other)
         if other is None:
             return NotImplemented
         a, b, c, e = self._a, self._b, other._a, other._b
-        return _make(a * c + 3 * b * e, a * e + b * c, self._d * other._d)
+        return _make(a * c + 3 * b * e, a * e + b * c)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar: int | Fraction) -> QuadElem:
-        if not isinstance(scalar, (int, Fraction)):
+    # Kept though the package never divides: perfbench/tracing.py wraps each name in RING_OPS.
+    def __truediv__(self, scalar: int) -> QuadElem:
+        if not isinstance(scalar, int):
             return NotImplemented
         if not scalar:
             raise ZeroDivisionError("QuadElem division by zero")
-        num, den = scalar.numerator, scalar.denominator
-        if num < 0:
-            num, den = -num, -den
-        return _make(self._a * den, self._b * den, self._d * num)
+        a, a_rem = divmod(self._a, scalar)
+        b, b_rem = divmod(self._b, scalar)
+        if a_rem or b_rem:
+            raise ArithmeticError(
+                f"division is not exact: {self.size_summary()}, divisor of {scalar.bit_length()} bits"
+            )
+        return _make(a, b)
 
     def __pow__(self, n: int) -> QuadElem:
-        """n-th power by binary exponentiation on the numerators, n >= 0.
+        """n-th power by binary exponentiation, n >= 0.
 
         Bits are taken from the top, so each step multiplies by the base
         itself. For a base with small coefficients, such as ALPHA, that step
         costs linear time and only the squarings are big multiplications.
 
-        The running numerators a, b keep a^2 - 3b^2 = m, the norm of the
-        numerators x, y raised to the power reached so far, so a^2 = 3b^2 + m
-        holds exactly. Squaring then needs no a^2 and no a*b:
+        The running coefficients a, b keep a^2 - 3b^2 = m, the norm of the
+        base x + y*sqrt(3) raised to the power reached so far, so
+        a^2 = 3b^2 + m holds exactly. Squaring then needs no a^2 and no a*b:
         a^2 + 3b^2 = 6b^2 + m and 2ab = (a + b)^2 - 4b^2 - m. Each bit costs
         the two big squares b^2 and (a + b)^2 plus m^2. For a unit such as
         ALPHA or BETA, m stays +-1 and m^2 is free; for any other base m^2
-        is a third big square, which for a rational base is twice a's length.
+        is a third big square.
         """
         if not isinstance(n, int):
             return NotImplemented
@@ -141,55 +132,43 @@ class QuadElem:
             a, b, m = 6 * bb + m, s * s - 4 * bb - m, m * m
             if bit == "1":
                 a, b, m = a * x + 3 * b * y, a * y + b * x, m * norm
-        return _make(a, b, self._d**n)
+        return _make(a, b)
 
     def conjugate(self) -> QuadElem:
         """Image under sqrt(3) -> -sqrt(3); swaps alpha and beta."""
-        return _make(self._a, -self._b, self._d)
+        return _make(self._a, -self._b)
 
     def as_integer(self) -> int:
         """This element as a plain int.
 
-        Raises ArithmeticError when the sqrt(3) component is nonzero or the
-        rational part has a denominator. Closed-form sequence evaluation
-        relies on both cancellations, so a failure here is an internal bug,
-        never a caller error.
+        Raises ArithmeticError when the sqrt(3) component is nonzero.
+        Closed-form sequence evaluation relies on that cancellation, so a
+        failure here is an internal bug, never a caller error.
         """
         if self._b:
             raise ArithmeticError(f"sqrt(3) component did not cancel: {self.size_summary()}")
-        if self._d != 1:
-            raise ArithmeticError(f"value is not an integer: {self.size_summary()}")
         return self._a
 
     def size_summary(self) -> str:
-        """The bit lengths of the stored triple, for error messages.
+        """The bit lengths of the two coefficients, for error messages.
 
         Unlike str(), this works at any size: str() of a value past Python's
         4300-digit int->str cap raises ValueError.
         """
-        return (
-            f"(a + b*sqrt(3)) / d with a of {self._a.bit_length()} bits, "
-            f"b of {self._b.bit_length()} bits, d of {self._d.bit_length()} bits"
-        )
+        return f"a + b*sqrt(3) with a of {self._a.bit_length()} bits, b of {self._b.bit_length()} bits"
 
     def __repr__(self) -> str:
-        return f"QuadElem(a={self.a!r}, b={self.b!r})"
+        return f"QuadElem(a={self._a!r}, b={self._b!r})"
 
     def __str__(self) -> str:
-        return f"{self.a} + {self.b}*sqrt(3)"
+        return f"{self._a} + {self._b}*sqrt(3)"
 
 
-def _make(a: int, b: int, d: int) -> QuadElem:
-    """(a + b*sqrt(3)) / d from ints with d > 0, reduced."""
-    if d != 1:
-        # d first: each gcd step then works on a number no larger than d.
-        g = math.gcd(d, a, b)
-        if g != 1:
-            a, b, d = a // g, b // g, d // g
+def _make(a: int, b: int) -> QuadElem:
+    """a + b*sqrt(3) from ints, without the constructor's type checks."""
     elem = object.__new__(QuadElem)
     elem._a = a
     elem._b = b
-    elem._d = d
     return elem
 
 
@@ -197,9 +176,7 @@ def _coerce(value: object) -> QuadElem | None:
     if isinstance(value, QuadElem):
         return value
     if isinstance(value, int):
-        return _make(value, 0, 1)
-    if isinstance(value, Fraction):
-        return _make(value.numerator, 0, value.denominator)
+        return _make(value, 0)
     return None
 
 

@@ -105,25 +105,23 @@ def _closed_form_weights(spec: RecurrenceSpec) -> tuple[QuadElem, QuadElem]:
     component that fails to cancel.
     """
     k, r, s = spec
-    weight_alpha = _make(3 * k + 6 * r, 2 * s - k - 4 * r, 1)
-    weight_beta = _make(3 * k + 6 * r, k + 4 * r - 2 * s, 1)
+    weight_alpha = _make(3 * k + 6 * r, 2 * s - k - 4 * r)
+    weight_beta = _make(3 * k + 6 * r, k + 4 * r - 2 * s)
     return weight_alpha, weight_beta
 
 
 def _weigh(weight_alpha: QuadElem, weight_beta: QuadElem, power: QuadElem) -> QuadElem:
-    """weight_alpha * power + weight_beta * conj(power), formed on the numerators.
+    """weight_alpha * power + weight_beta * conj(power), formed on the coefficients.
 
-    With power = (p + q*sqrt(3)) / e and conj(power) = (p - q*sqrt(3)) / e, the
-    sum collects into one rational and one sqrt(3) numerator, so the weights
-    meet the big numerators in four small-by-big products and no ring
-    operation. The weights are brought to one denominator first.
+    With power = p + q*sqrt(3) and conj(power) = p - q*sqrt(3), the sum
+    collects into one integer and one sqrt(3) coefficient, so the weights
+    meet the big coefficients in four small-by-big products and no ring
+    operation.
     """
-    p, q, e = power._a, power._b, power._d
-    xa, ya, da = weight_alpha._a, weight_alpha._b, weight_alpha._d
-    xb, yb, db = weight_beta._a, weight_beta._b, weight_beta._d
-    if da != db:
-        xa, ya, xb, yb, da = xa * db, ya * db, xb * da, yb * da, da * db
-    return _make((xa + xb) * p + 3 * (ya - yb) * q, (ya + yb) * p + (xa - xb) * q, da * e)
+    p, q = power._a, power._b
+    xa, ya = weight_alpha._a, weight_alpha._b
+    xb, yb = weight_beta._a, weight_beta._b
+    return _make((xa + xb) * p + 3 * (ya - yb) * q, (ya + yb) * p + (xa - xb) * q)
 
 
 def eval_closed_form(spec: RecurrenceSpec, n: int) -> int:

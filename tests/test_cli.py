@@ -114,6 +114,50 @@ def test_gen_out_file(tmp_path, capsys):
     assert parse_bfile(target.read_text()) == [(0, 0), (1, 1), (2, 5), (3, 20)]
 
 
+
+@pytest.mark.parametrize(
+    "argv, first_work",
+    [
+        (["gen", "a", "--count", "3"], "sequence_prefix"),
+        (["gen", "z", "--count", "3"], "numerators"),
+        (["verify", "--max-n", "4"], "run_all"),
+        (["solve", "--max-s", "10"], "enumerate_solutions"),
+        (["witness", "2"], "witness"),
+    ],
+    ids=["gen", "gen-z", "verify", "solve", "witness"],
+)
+def test_unwritable_out_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch, argv, first_work):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{first_work} ran before --out was opened")
+
+    monkeypatch.setattr(f"triavg.cli.{first_work}", no_work)
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write --out {str(target)!r}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
+def test_main_builds_the_parser_once_and_dispatches_at_call_time(capsys, monkeypatch):
+    real_build = cli.build_parser
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        return real_build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    assert run_cli(capsys, "gen", "a", "--count", "3")[:2] == (0, "0 1 5\n")
+    # Replaced after the tree was built, as a tracer or a test does.
+    solved = []
+    monkeypatch.setattr(cli, "cmd_solve", lambda args: solved.append(args.max_s) or 0)
+    assert main(["solve", "--max-s", "7"]) == 0
+    assert solved == [7]
+    assert builds == [1]
+
+
 def test_verify_all_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-n", "16")
     assert code == 0

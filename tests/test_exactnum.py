@@ -30,8 +30,8 @@ def test_pow_basics():
     assert ALPHA**2 == QuadElem(7, 4)
 
 
-# Norms 1, 1, 1, -2, 0 and 13/16: units, a negative norm, zero, a denominator.
-POW_BASES = [ALPHA, BETA, -ALPHA, ONE + SQRT3, ZERO, QuadElem(Fraction(5, 4), Fraction(-1, 2))]
+# Norms 1, 1, 1, -2, 0 and -122: units, a negative norm, zero, a non-unit.
+POW_BASES = [ALPHA, BETA, -ALPHA, ONE + SQRT3, ZERO, QuadElem(5, 7)]
 
 
 def norm(x):
@@ -59,12 +59,14 @@ def test_alpha_powers_match_iterated_l_and_f():
     for n, l_n, f_n in zip(range(max(exponents) + 1), terms("L"), terms("F")):
         if n in exponents:
             power = ALPHA**n
-            assert power == QuadElem(Fraction(l_n, 2), f_n)
+            assert l_n % 2 == 0
+            assert power == QuadElem(l_n // 2, f_n)
             assert norm(power) == 1
 
 
-@pytest.mark.parametrize("q", [0, 1, 3, -1, Fraction(-7, 4), Fraction(2, 9)], ids=str)
+@pytest.mark.parametrize("q", [0, 1, 3, -1], ids=str)
 def test_rational_powers_match_fraction_powers(q):
+    # Powers of the rational (b = 0) elements, against Fraction's own powers.
     base = QuadElem(q, 0)
     for n in range(41):
         power = base**n
@@ -81,7 +83,17 @@ def test_scalar_arithmetic():
     assert SQRT3 + 1 == QuadElem(1, 1)
     assert 1 - SQRT3 == QuadElem(1, -1)
     assert (ALPHA + BETA) / 2 == QuadElem(2, 0)
-    assert ALPHA * Fraction(1, 2) == QuadElem(Fraction(1), Fraction(1, 2))
+
+
+def test_division_is_exact_division_by_an_int():
+    assert QuadElem(12, -18) / 6 == QuadElem(2, -3)
+    assert QuadElem(12, -18) / -3 == QuadElem(-4, 6)
+    assert (ALPHA**40 * 7) / 7 == ALPHA**40
+    for remainder_in_a_or_b in (QuadElem(13, 18), QuadElem(12, 19)):
+        with pytest.raises(ArithmeticError, match="not exact"):
+            remainder_in_a_or_b / 6  # noqa: B018
+    with pytest.raises(ZeroDivisionError):
+        QuadElem(12, 18) / 0  # noqa: B018
 
 
 def test_division_by_quadelem_not_supported():
@@ -96,10 +108,17 @@ def test_floats_are_rejected():
         QuadElem(0.5, 0)
 
 
+def test_fractions_are_rejected():
+    with pytest.raises(TypeError):
+        QuadElem(Fraction(1, 2), 0)
+    with pytest.raises(TypeError):
+        ALPHA * Fraction(1, 2)  # noqa: B018
+    with pytest.raises(TypeError):
+        ALPHA / Fraction(1, 2)  # noqa: B018
+
+
 def test_as_integer():
     assert QuadElem(7, 0).as_integer() == 7
-    with pytest.raises(ArithmeticError):
-        QuadElem(Fraction(1, 2), 0).as_integer()
     with pytest.raises(ArithmeticError):
         QuadElem(1, 1).as_integer()
 
@@ -110,15 +129,10 @@ def test_as_integer_errors_past_the_int_str_digit_cap():
     big = 10**5000 + 1
     with pytest.raises(ArithmeticError, match="bits"):
         QuadElem(big, big).as_integer()
-    with pytest.raises(ArithmeticError, match="bits"):
-        QuadElem(Fraction(big, 2), 0).as_integer()
 
 
-quad_elems = st.builds(
-    QuadElem,
-    st.fractions(min_value=-50, max_value=50, max_denominator=12),
-    st.fractions(min_value=-50, max_value=50, max_denominator=12),
-)
+coefficients = st.integers(min_value=-(10**6), max_value=10**6)
+quad_elems = st.builds(QuadElem, coefficients, coefficients)
 
 
 @given(quad_elems, quad_elems)
@@ -146,22 +160,18 @@ def test_beta_power_is_conjugate_of_alpha_power(n):
     assert BETA**n == (ALPHA**n).conjugate()
 
 
-# A plain reference: the value a + b*sqrt(3) as the Fraction pair (a, b).
-rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
-pairs = st.tuples(rationals, rationals)
-nonzero_scalars = st.one_of(
-    st.integers(min_value=-50, max_value=50),
-    st.fractions(min_value=-50, max_value=50, max_denominator=12),
-).filter(lambda c: c != 0)
+# A plain reference: the value a + b*sqrt(3) as the int pair (a, b).
+pairs = st.tuples(coefficients, coefficients)
+nonzero_scalars = st.integers(min_value=-50, max_value=50).filter(lambda c: c != 0)
 
 
 def as_pair(x):
-    assert isinstance(x.a, Fraction) and isinstance(x.b, Fraction)
+    assert type(x.a) is int and type(x.b) is int
     return (x.a, x.b)
 
 
 @given(pairs, pairs)
-def test_ring_ops_match_fraction_pair_reference(p, q):
+def test_ring_ops_match_int_pair_reference(p, q):
     (a, b), (c, d) = p, q
     x, y = QuadElem(a, b), QuadElem(c, d)
     assert as_pair(x) == (a, b)
@@ -173,17 +183,17 @@ def test_ring_ops_match_fraction_pair_reference(p, q):
 
 
 @given(pairs, nonzero_scalars)
-def test_scaling_matches_fraction_pair_reference(p, c):
+def test_scaling_matches_int_pair_reference(p, c):
     a, b = p
     x = QuadElem(a, b)
     assert as_pair(x * c) == as_pair(c * x) == (a * c, b * c)
-    assert as_pair(x / c) == (a / c, b / c)
+    assert as_pair((x * c) / c) == (a, b)
     assert as_pair(x + c) == as_pair(c + x) == (a + c, b)
     assert as_pair(c - x) == (c - a, -b)
 
 
 @given(pairs, st.integers(min_value=0, max_value=40))
-def test_pow_matches_repeated_multiplication_with_denominators(p, n):
+def test_pow_matches_repeated_multiplication_on_random_bases(p, n):
     x = QuadElem(*p)
     acc = ONE
     for _ in range(n):
@@ -194,18 +204,9 @@ def test_pow_matches_repeated_multiplication_with_denominators(p, n):
 @given(pairs, nonzero_scalars)
 def test_equal_values_have_equal_hashes(p, c):
     x = QuadElem(*p)
-    y = (x * c + ALPHA) / c - ALPHA / c  # the same value by another route
+    y = (x * c + ALPHA * c) / c - ALPHA  # the same value by another route
     assert y == x
     assert hash(y) == hash(x)
-
-
-@given(pairs, st.integers(min_value=1, max_value=60))
-def test_zero_normalises_whatever_its_denominator(p, d):
-    x = QuadElem(*p) / d
-    for zero in (x - x, x * 0, x + -x):
-        assert zero == ZERO
-        assert hash(zero) == hash(ZERO)
-        assert zero.a.denominator == 1
 
 
 def test_scaling_by_zero_is_an_error():
@@ -230,17 +231,3 @@ def test_is_perfect_square_root_is_exact(m):
     root = is_perfect_square(m)
     if root is not None:
         assert root * root == m
-
-
-@given(
-    st.integers(min_value=-(10**12), max_value=10**12),
-    st.integers(min_value=1, max_value=10**12),
-    st.integers(min_value=-(10**6), max_value=10**6).filter(lambda c: c != 0),
-)
-def test_fraction_canonical_form(num, den, c):
-    # Rationals must normalize: scaling numerator and denominator by any
-    # nonzero c yields identical stored fields.
-    base = Fraction(num, den)
-    scaled = Fraction(c * num, c * den)
-    assert (base.numerator, base.denominator) == (scaled.numerator, scaled.denominator)
-    assert base.denominator > 0

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -54,3 +55,12 @@ def test_cli_import_does_not_load_dataclasses():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def test_triavg_triangular_is_the_module():
+    from triavg.triangular import triangular
+
+    assert isinstance(triavg.triangular, types.ModuleType)
+    assert triavg.triangular.triangular is triangular
+    assert triangular(5) == 15
+    assert "triangular" not in triavg.__all__

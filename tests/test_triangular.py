@@ -1,4 +1,3 @@
-import importlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triavg import recurrences
+from triavg import triangular as triangular_module
 from triavg.recurrences import A_SPEC, B_SPEC, eval_iterative, sequence_prefix
 from triavg.triangular import (
     LITERAL_SUM_CUTOFF,
@@ -25,9 +25,6 @@ from triavg.triangular import (
     triangular,
     witness,
 )
-
-# The package re-exports the function triangular, which shadows the module.
-triangular_module = importlib.import_module("triavg.triangular")
 
 
 def test_triangular_examples():
