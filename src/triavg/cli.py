@@ -1,10 +1,10 @@
 """Command-line front end: generate sequences, verify identities, scan the
 Diophantine equation, and print verified witnesses.
 
-Exit codes: 0 on success (all checks passing), 1 on a verification failure,
-2 on a usage error, an unwritable --out path included. Any other exception
-is an internal fault and propagates with its traceback, so it is never
-mistaken for bad input.
+Exit codes: 0 on success (all checks passing), or when the reader of stdout
+closes it early; 1 on a verification failure; 2 on a usage error, an
+unwritable --out path included. Any other exception is an internal fault
+and propagates with its traceback, so it is never mistaken for bad input.
 """
 
 from __future__ import annotations
@@ -14,13 +14,14 @@ import contextlib
 import decimal
 import functools
 import itertools
+import os
 import sys
 from decimal import Decimal
 from typing import Iterable, Iterator, TextIO
 
 from .convergents import numerators
 from .identities import SUITES, IdentityReport, run_all
-from .recurrences import B_SPEC, RecurrenceSpec, eval_closed_form, resolve_spec, sequence_prefix
+from .recurrences import B_SPEC, RecurrenceSpec, eval_closed_form, resolve_spec, terms
 from .triangular import SIEVE_MODULI, enumerate_solutions, prefix_average, witness
 
 PREFIX_WARN_THRESHOLD = 10**6
@@ -41,6 +42,16 @@ EXACT_DECIMAL = decimal.Context(
 # 450 digits): below that, int->str costs no more than the Decimal re-run and
 # its cross-check, which would make a 512-term request about 18% slower.
 DECIMAL_FROM_BITS = 1500
+
+# gen draws its int terms and its rows in blocks of up to this many, and
+# checks their size once per block. A check per term and per row made a
+# 512-term request about 10% slower, blocks of 64 about 4%, these about 2%.
+BLOCK = 256
+
+# gen writes its text in pieces of whole rows, each closed once it holds about
+# this many characters: a 7000-term b-file (13.4 MiB) goes out in 53 pieces of
+# at most 0.27 MiB, and a 512-term request (under 0.09 MiB) in one.
+PIECE_CHARS = 1 << 18
 
 # The Mersenne prime 2^61 - 1, the modulus of gen's exactness fingerprint.
 FINGERPRINT_MODULUS = (1 << 61) - 1
@@ -241,25 +252,53 @@ def _fingerprint(terms: Iterable[int] | Iterable[Decimal]) -> tuple[int, int]:
     return int(total % m) % m, int(running % m) % m
 
 
-def _format_terms(name: str, digits: Iterable[str], fmt: str) -> str:
-    """gen's output text for the terms' decimal strings, in one of the four formats."""
+def _format_terms(name: str, digits: Iterable[str], fmt: str) -> Iterator[str]:
+    """gen's output text for the terms' decimal strings, in one of the four formats.
+
+    The text comes in pieces of whole rows, each closed once it holds about
+    PIECE_CHARS characters. The digit strings are drawn only as each piece
+    is built, so one piece is held at a time. Joined, the pieces are the
+    whole text.
+    """
+    digits = iter(digits)
+    numbered = enumerate(digits)
     if fmt == "plain":
-        rows, sep, head, tail = list(digits), " ", "", "\n"
+        sep, head, tail = " ", "", "\n"
+        rows = lambda n: list(itertools.islice(digits, n))
     elif fmt == "bfile":
-        rows = [f"{i} {v}" for i, v in enumerate(digits)]
         sep, head, tail = "\n", f"# {name} offset 0\n", "\n"
+        rows = lambda n: [f"{i} {v}" for i, v in itertools.islice(numbered, n)]
     elif fmt == "csv":
-        rows, sep, head, tail = [f"{i},{v}" for i, v in enumerate(digits)], "\n", "", "\n"
+        sep, head, tail = "\n", "", "\n"
+        rows = lambda n: [f"{i},{v}" for i, v in itertools.islice(numbered, n)]
     elif fmt == "json":
         # json.dumps's layout; values are digit strings, which need no escaping.
-        rows = [f'{{"n": {i}, "value": "{v}"}}' for i, v in enumerate(digits)]
         sep, head, tail = ", ", "[", "]\n"
+        rows = lambda n: [f'{{"n": {i}, "value": "{v}"}}' for i, v in itertools.islice(numbered, n)]
     else:
         raise UsageError(f"unknown format {fmt!r}")
-    # Head and tail ride on the first and last rows, so one join copies the text once.
-    rows[0] = head + rows[0]
-    rows[-1] += tail
-    return sep.join(rows)
+    piece: list[str] = []
+    size, n = 0, BLOCK
+    while block := rows(n):
+        if size >= PIECE_CHARS:
+            # A piece's first row carries the head, or the separator after the
+            # previous piece, so one join copies each piece once; its rows are
+            # dropped before it is written.
+            piece[0] = head + piece[0]
+            text, piece, size, head = sep.join(piece), [], 0, sep
+            yield text
+        piece += block
+        # Past the first terms of some custom specs, rows grow by under a
+        # character each, so a block's last row stands for all of it.
+        size += len(block[-1]) * len(block)
+        # Long rows come fewer to a block, so that a block, and so the most
+        # a piece can pass PIECE_CHARS by, is about a quarter of a piece.
+        n = min(BLOCK, PIECE_CHARS // (4 * len(block[-1])) + 1)
+    piece[0] = head + piece[0]
+    piece[-1] += tail
+    text = sep.join(piece)
+    del piece
+    yield text
 
 
 def parse_bfile(text: str) -> list[tuple[int, int]]:
@@ -281,15 +320,20 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
 def cmd_gen(args: argparse.Namespace) -> int:
     """Print the first --count terms of a sequence.
 
-    For the family letters and custom specs, sequence_prefix gives the int
-    terms, which stay the reference. Once the last term passes
+    For the family letters and custom specs, the int terms of
+    recurrences.terms stay the reference. They are drawn in blocks of
+    BLOCK and kept while short; once a block ends past
     DECIMAL_FROM_BITS, the same recurrence is re-run in Decimal under
     EXACT_DECIMAL, where every step is exact and the caller's decimal
     context has no say, and the text is made from str() of those terms:
-    linear in their digits, where CPython's int->str is quadratic. The two
-    runs must agree on _fingerprint, or ArithmeticError is raised and
-    nothing is printed. z keeps int->str, its terms having about half the
-    digits.
+    linear in their digits, where CPython's int->str is quadratic. The rest
+    of the int terms then only stream through _fingerprint, so the Decimal
+    terms are the one prefix held. The two runs must agree on _fingerprint,
+    or ArithmeticError is raised and nothing is printed. z keeps int->str,
+    its terms having about half the digits, and holds no list.
+
+    The text is written one piece of _format_terms at a time, so memory is
+    the Decimal terms plus one piece of text.
     """
     if args.count > PREFIX_WARN_THRESHOLD:
         print(
@@ -299,22 +343,28 @@ def cmd_gen(args: argparse.Namespace) -> int:
         )
     name, spec = _gen_request(args)
     if spec is None:
-        terms: list[int] | list[Decimal] = list(itertools.islice(numerators(), args.count))
+        digits: Iterator[str] = map(str, itertools.islice(numerators(), args.count))
     else:
-        values = sequence_prefix(spec, args.count)
+        stream = terms(spec)
+        values: list[int] = []
+        for start in range(0, args.count, BLOCK):
+            values += itertools.islice(stream, min(BLOCK, args.count - start))
+            if values[-1].bit_length() > DECIMAL_FROM_BITS:
+                break
         if values[-1].bit_length() <= DECIMAL_FROM_BITS:
-            terms = values
+            digits = map(str, values)
         else:
-            terms = _decimal_prefix(spec, len(values))
+            decimals = _decimal_prefix(spec, args.count)
+            ints = itertools.chain(values, itertools.islice(stream, args.count - len(values)))
             with decimal.localcontext(EXACT_DECIMAL):
-                if _fingerprint(terms) != _fingerprint(values):
+                if _fingerprint(decimals) != _fingerprint(ints):
                     raise ArithmeticError(
-                        f"gen {name}: the Decimal terms disagree with the int prefix"
+                        f"gen {name}: the Decimal terms disagree with the int terms"
                     )
-        del values  # released before the text is built
+            digits = map(str, decimals)
     with _unlimited_int_digits():
-        text = _format_terms(name, map(str, terms), args.format)
-    _emit(text, args.out)
+        for piece in _format_terms(name, digits, args.format):
+            _emit(piece, args.out)
     return 0
 
 
@@ -389,6 +439,21 @@ def cmd_witness(args: argparse.Namespace) -> int:
     return 0 if status == "VERIFIED" else 1
 
 
+def _quiet_stdout() -> None:
+    """Point stdout's fd at os.devnull, so the flush at exit writes nowhere.
+
+    A stand-in for sys.stdout with no fd of its own (a StringIO, a test's
+    capture) has no flush at exit to quiet, and is left as it is.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     # Looked up per call, so a cmd_* replaced after import is the one that runs.
@@ -396,13 +461,25 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # From here on args.out is the open file, or None for stdout.
         with _open_out(args.out) as args.out:
-            return handler(args)
+            code = handler(args)
+            if args.out is None:
+                # A reader gone before the last buffered bytes is met here,
+                # not in the flush at exit.
+                sys.stdout.flush()
+            return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader of stdout took what it wanted and closed the pipe, as
+        # `| head` does: stop quietly. A broken --out file is an error.
+        if args.out is not None:
+            raise
+        _quiet_stdout()
+        return 0
 
 
 if __name__ == "__main__":

@@ -2,14 +2,17 @@ import decimal
 import functools
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import triavg.cli as cli
 from triavg.cli import PREFIX_WARN_THRESHOLD, _unlimited_int_digits, main, parse_bfile
+from triavg.convergents import numerators
 from triavg.recurrences import A_SPEC, B_SPEC, RecurrenceSpec, eval_iterative, sequence_prefix
 
 FORMATS = ("plain", "bfile", "csv", "json")
@@ -118,7 +121,7 @@ def test_gen_out_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, first_work",
     [
-        (["gen", "a", "--count", "3"], "sequence_prefix"),
+        (["gen", "a", "--count", "3"], "terms"),
         (["gen", "z", "--count", "3"], "numerators"),
         (["verify", "--max-n", "4"], "run_all"),
         (["solve", "--max-s", "10"], "enumerate_solutions"),
@@ -271,11 +274,11 @@ def test_gen_warns_on_huge_prefix(capsys):
 def test_gen_warns_before_building_the_prefix(capsys, monkeypatch):
     stderr_at_work = []
 
-    def stub_prefix(spec, count):
+    def stub_terms(spec):
         stderr_at_work.append(capsys.readouterr().err)
-        return [0]
+        return iter([0])
 
-    monkeypatch.setattr("triavg.cli.sequence_prefix", stub_prefix)
+    monkeypatch.setattr("triavg.cli.terms", stub_terms)
     code = main(["gen", "a", "--count", str(PREFIX_WARN_THRESHOLD + 1)])
     assert code == 0
     assert len(stderr_at_work) == 1
@@ -488,7 +491,7 @@ def test_gen_ignores_the_callers_decimal_context(capsys, decimal_always):
     [{0: 1}, {20: -1}, {39: 10**40}, {3: 1, 17: -1}, {0: -(10**30), 39: 10**30}],
     ids=["first", "middle", "last-large", "pair", "pair-large"],
 )
-def test_gen_rejects_corrupted_decimal_terms(capsys, monkeypatch, decimal_always, shifts):
+def test_gen_rejects_corrupted_decimal_terms(tmp_path, capsys, monkeypatch, decimal_always, shifts):
     # One term off, or two off by +d and -d so that their sum is unchanged.
     real = cli._decimal_prefix
 
@@ -504,3 +507,113 @@ def test_gen_rejects_corrupted_decimal_terms(capsys, monkeypatch, decimal_always
     assert code == 1
     assert out == ""
     assert "verification error" in err
+    target = tmp_path / "a.bfile"
+    code, out, err = run_cli(capsys, "gen", "a", "--count", "40", "--format", "bfile", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert "verification error" in err
+    assert target.read_text() == ""
+
+
+def z_digits(count):
+    return int_digits(itertools.islice(numerators(), count))
+
+
+# (DECIMAL_FROM_BITS, name, args, the reference's digits for a count)
+PIECE_CASES = [
+    (cli.DECIMAL_FROM_BITS, "v", ["v"], lambda count: int_digits(sequence_prefix("v", count))),
+    (-1, "b", ["b"], lambda count: int_digits(sequence_prefix("b", count))),
+    (20, "a", ["a"], lambda count: int_digits(sequence_prefix("a", count))),
+    (cli.DECIMAL_FROM_BITS, "z", ["z"], z_digits),
+    (
+        20,
+        "custom(k=-5,w0=7,w1=-2)",
+        ["custom", "--k", "-5", "--w0", "7", "--w1", "-2"],
+        lambda count: int_digits(sequence_prefix(RecurrenceSpec(-5, 7, -2), count)),
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("block, piece_chars", [(1, 1), (3, 1), (2, 40)])
+def test_gen_output_is_whole_at_piece_boundaries(capsys, monkeypatch, fmt, block, piece_chars):
+    # Tiny blocks and pieces put boundaries among the first rows. With a
+    # one-character budget every block is a piece of its own, and every
+    # block after the first holds one row, so the counts below start, end
+    # and cross pieces. a and the custom spec switch to Decimal after a few
+    # blocks, b at once, and v and z never do.
+    monkeypatch.setattr("triavg.cli.BLOCK", block)
+    monkeypatch.setattr("triavg.cli.PIECE_CHARS", piece_chars)
+    real_emit = cli._emit
+    pieces = []
+
+    def counting_emit(text, out):
+        pieces.append(text)
+        real_emit(text, out)
+
+    monkeypatch.setattr("triavg.cli._emit", counting_emit)
+    for bits, name, seq, reference in PIECE_CASES:
+        monkeypatch.setattr("triavg.cli.DECIMAL_FROM_BITS", bits)
+        for count in [*range(1, 14), 40]:
+            pieces.clear()
+            code, out, err = run_cli(capsys, "gen", *seq, "--count", str(count), "--format", fmt)
+            assert (code, err) == (0, "")
+            assert out == int_reference(name, reference(count), fmt)
+            if piece_chars == 1:
+                assert len(pieces) == 1 + max(0, count - block)
+
+
+def test_gen_peak_memory_is_below_its_text(tmp_path):
+    # The text is written a piece at a time and the int terms only stream
+    # through the fingerprint, so the Decimal terms (about 0.48 bytes per
+    # printed digit) are the largest thing held.
+    target = tmp_path / "a.bfile"
+    tracemalloc.start()
+    try:
+        code = main(["gen", "a", "--count", "7000", "--format", "bfile", "--out", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    text = target.read_text()
+    assert text.startswith("# a offset 0\n0 0\n1 1\n2 5\n")
+    assert peak < len(text)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        (["gen", "a", "--count", "7000", "--format", "bfile"], b"# a offset 0\n"),
+        # Closed before the child writes: its one write fails in the last flush.
+        (["verify", "--max-n", "4"], None),
+    ],
+    ids=["gen-read-one-line", "verify-read-nothing"],
+)
+def test_a_reader_that_closes_stdout_early_gets_a_quiet_exit(argv, first_line, unbuffered):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "triavg", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    if first_line is not None:
+        assert proc.stdout.readline() == first_line
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (0, b"")
+
+
+def test_a_closed_stdout_stops_quietly_but_a_broken_out_file_raises(tmp_path, capsys, monkeypatch):
+    def broken_pipe(text, out):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("triavg.cli._emit", broken_pipe)
+    # capsys's stdout has no fd to point at os.devnull; that is left alone.
+    assert run_cli(capsys, "verify", "--max-n", "4") == (0, "", "")
+    with pytest.raises(BrokenPipeError):
+        main(["verify", "--max-n", "4", "--out", str(tmp_path / "out.txt")])
