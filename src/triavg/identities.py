@@ -7,10 +7,13 @@ so no prefix is held: a, b, u, v and F from their recurrences, L from two
 runs of its recurrence (one at n, one at 2n), and z from the
 continued-fraction ladder, which shares nothing with u. Each of a, b, u, v
 and L is squared once per index, from its own term, and every suite reads
-that one square. Each check evaluates both sides of an identity from
-independently computed sequences (never the same value against itself),
-and mismatches are reported instead of raised, so a report is useful for
-diffing when something breaks.
+that one square; L_n * L_{n+1} is taken from the L stream too. Once a
+stream's terms are long, its square and cross product are carried from
+the previous index (see _Square) in time linear in the digits, instead of
+a big multiplication per index. Each check evaluates both sides of an
+identity from independently computed sequences (never the same value
+against itself), and mismatches are reported instead of raised, so a
+report is useful for diffing when something breaks.
 """
 
 from __future__ import annotations
@@ -23,6 +26,11 @@ from .recurrences import terms
 
 Failure = tuple[int, int, int]  # (n, lhs, rhs)
 Pairs = list[tuple[int, int]]  # (lhs, rhs) of each comparison at one n
+
+# A stream's squares are multiplied while its terms have at most this many
+# bits, and carried from the index after a longer term: around here a
+# carried step and a direct square cost the same.
+SQUARE_FROM_BITS = 1000
 
 
 class IdentityReport(NamedTuple):
@@ -41,8 +49,8 @@ class Window(NamedTuple):
     """The terms the suites read at index n.
 
     A term whose stream no selected suite reads is None, and so is an
-    unread square and each *_prev term at n = 0. Each x_sq is x * x,
-    squared once from x's own stream.
+    unread square and each *_prev term at n = 0. Each x_sq is x * x, and
+    L_cross is L_n * L_{n+1}, each taken once from its own stream.
     """
 
     n: int
@@ -59,7 +67,7 @@ class Window(NamedTuple):
     F: int | None
     L: int | None
     L_sq: int | None
-    L_next: int | None  # L_{n+1}
+    L_cross: int | None  # L_n * L_{n+1}
     L_even: int | None  # L_{2n}
     L_odd: int | None  # L_{2n+1}
     z_prev: int | None  # z_{2n-1}
@@ -72,11 +80,44 @@ def _pairs(values: Iterator[int]) -> Iterator[tuple[int, int]]:
     return zip(values, values)
 
 
+class _Square:
+    """x_n^2 and x_n * x_{n-1} of an int stream, each carried from the index before.
+
+    With c = x_n - 4*x_{n-1} + x_{n-2}:
+
+        x_n * x_{n-1} = 4*x_{n-1}^2 - x_{n-1}*x_{n-2} + c*x_{n-1},
+        x_n^2 = 4*(x_n*x_{n-1} - x_{n-1}*x_{n-2}) + x_{n-2}^2 + c*(x_n - x_{n-2}).
+
+    These are polynomial identities, so every value is exact for any ints.
+    On a stream with w_n = 4*w_{n-1} - w_{n-2} + k, c is k, and a step takes
+    additions and small-by-big products only, in time linear in the digits;
+    on any other stream a step pays two big products. The stream starts after
+    two zero terms.
+    """
+
+    __slots__ = ("before", "last", "sq_before", "sq", "cross")
+
+    def __init__(self) -> None:
+        self.before = self.last = self.sq_before = self.sq = self.cross = 0
+
+    def __call__(self, x: int) -> int:
+        """x^2 of the next term x; x times the term before is left in .cross."""
+        before, last, cross = self.before, self.last, self.cross
+        c = x - 4 * last + before
+        self.cross = 4 * self.sq - cross + c * last
+        sq = 4 * (self.cross - cross) + self.sq_before + c * (x - before)
+        self.before, self.last, self.sq_before, self.sq = last, x, self.sq, sq
+        return sq
+
+
 def _windows(reads: set[str]) -> Iterator[Window]:
     """The windows at n = 0, 1, 2, ...
 
     A stream moves only if a term drawn from it is read, and a square is
-    taken only if it is read.
+    taken only if it is read (L_sq and L_cross go together). A square is
+    x * x while x has at most SQUARE_FROM_BITS bits; from the index after a
+    longer term on, its stream carries it in a _Square. The L stream's
+    _Square runs one term ahead, so that its cross product is L_n * L_{n+1}.
     """
 
     def stream(names: tuple[str, ...], make: Callable[[], Iterator], idle: object = None) -> Iterator:
@@ -88,29 +129,58 @@ def _windows(reads: set[str]) -> Iterator[Window]:
         stream(("u", "u_sq", "u_prev"), lambda: pairwise(chain([None], terms("u"))), (None, None)),
         stream(("v", "v_sq", "v_prev"), lambda: pairwise(chain([None], terms("v"))), (None, None)),
         stream(("F",), lambda: terms("F")),
-        stream(("L", "L_sq", "L_next"), lambda: pairwise(terms("L")), (None, None)),
+        stream(("L", "L_sq", "L_cross"), lambda: pairwise(terms("L")), (None, None)),
         stream(("L_even", "L_odd"), lambda: _pairs(terms("L")), (None, None)),
         stream(("z_prev", "z_even", "z_odd"), lambda: _pairs(numerators()), (None, None)),
     )
-    sq_a, sq_b, sq_u, sq_v, sq_L = (f"{x}_sq" in reads for x in "abuvL")
+    # For each stream: True while its square is taken directly, its _Square
+    # once carried, and False if no square of it is read.
+    sq_a, sq_b, sq_u, sq_v = (f"{x}_sq" in reads for x in "abuv")
+    sq_L = not reads.isdisjoint(("L_sq", "L_cross"))
+    long = 1 << 2 * SQUARE_FROM_BITS
+    # Builds a Window from a tuple, without Window()'s 20-argument call.
+    new = tuple.__new__
     z_odd = None
     for n, (a, b, (u_prev, u), (v_prev, v), F, (L, L_next), (L_even, L_odd), (z_even, z_next_odd)) in enumerate(rows):
         z_prev, z_odd = z_odd, z_next_odd
-        yield Window(
+        a_sq = a * a if sq_a is True else sq_a(a) if sq_a else None
+        b_sq = b * b if sq_b is True else sq_b(b) if sq_b else None
+        u_sq = u * u if sq_u is True else sq_u(u) if sq_u else None
+        v_sq = v * v if sq_v is True else sq_v(v) if sq_v else None
+        if sq_L is True:
+            L_sq, L_cross = L * L, L * L_next
+        elif sq_L:
+            L_sq = sq_L.sq
+            sq_L(L_next)
+            L_cross = sq_L.cross
+        else:
+            L_sq = L_cross = None
+        yield new(Window, (
             n,
-            a, a * a if sq_a else None,
-            b, b * b if sq_b else None,
-            u, u * u if sq_u else None, u_prev,
-            v, v * v if sq_v else None, v_prev,
+            a, a_sq,
+            b, b_sq,
+            u, u_sq, u_prev,
+            v, v_sq, v_prev,
             F,
-            L, L * L if sq_L else None, L_next, L_even, L_odd,
+            L, L_sq, L_cross, L_even, L_odd,
             z_prev, z_even, z_odd,
-        )
+        ))
+        if sq_a is True and a_sq >= long:
+            sq_a = _Square()
+        if sq_b is True and b_sq >= long:
+            sq_b = _Square()
+        if sq_u is True and u_sq >= long:
+            sq_u = _Square()
+        if sq_v is True and v_sq >= long:
+            sq_v = _Square()
+        if sq_L is True and L_sq >= long:
+            sq_L = _Square()
+            sq_L(L_next)
 
 
 def _lucas(w: Window) -> Pairs:
     """L_n^2 = L_{2n} + 2 and L_n * L_{n+1} = L_{2n+1} + 4."""
-    return [(w.L_sq, w.L_even + 2), (w.L * w.L_next, w.L_odd + 4)]
+    return [(w.L_sq, w.L_even + 2), (w.L_cross, w.L_odd + 4)]
 
 
 def _discriminant(w: Window) -> Pairs:
@@ -178,7 +248,7 @@ def _differences(w: Window) -> Pairs:
 
 # Every suite, in report order: name -> (first index, window terms read, per-index check).
 SUITES: dict[str, tuple[int, frozenset[str], Callable[[Window], Pairs]]] = {
-    "lucas": (0, frozenset({"L", "L_sq", "L_next", "L_even", "L_odd"}), _lucas),
+    "lucas": (0, frozenset({"L_sq", "L_cross", "L_even", "L_odd"}), _lucas),
     "discriminant": (0, frozenset({"a", "a_sq", "u_sq", "L_odd"}), _discriminant),
     "congruences": (0, frozenset({"u", "v", "L_odd"}), _congruences),
     "linkages": (0, frozenset({"a", "b", "u", "v", "v_prev", "F"}), _linkages),

@@ -152,3 +152,15 @@ def test_criterion_8_deep_witness():
         record = witness(10**5)
         assert record.avg == triangular(record.r)
         assert record.s.bit_length() > 10**5
+
+
+def test_criterion_9_full_identity_suite_at_depth_via_cli(capsys):
+    # Past n of about 527 every stream's squares are carried rather than
+    # multiplied; the run takes about 0.17 s on a 2-CPU machine.
+    with criterion(9, "verify --suite all --max-n 3000", 1.0):
+        code = main(["verify", "--suite", "all", "--max-n", "3000"])
+        out = capsys.readouterr().out
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 7
+        assert all(line.endswith("PASS") for line in lines)

@@ -1,8 +1,10 @@
 import sys
 import tracemalloc
-from itertools import islice
+from itertools import islice, pairwise
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triavg import identities
 from triavg.convergents import numerators
@@ -107,11 +109,11 @@ STREAMS = [
     {"u", "u_sq", "u_prev"},
     {"v", "v_sq", "v_prev"},
     {"F"},
-    {"L", "L_sq", "L_next"},
+    {"L", "L_sq", "L_cross"},
     {"L_even", "L_odd"},
     {"z_prev", "z_even", "z_odd"},
 ]
-SQUARES = {"a_sq", "b_sq", "u_sq", "v_sq", "L_sq"}
+SQUARES = {"a_sq", "b_sq", "u_sq", "v_sq", "L_sq", "L_cross"}
 
 
 def test_a_window_holds_only_the_streams_and_squares_read():
@@ -148,10 +150,51 @@ def test_each_suite_reads_exactly_the_terms_it_declares(name):
 def test_each_square_is_squared_from_its_own_term(monkeypatch):
     # Every stream is shifted by its own offset, so a square taken from
     # another stream, or through an identity, no longer matches its term.
+    # The windows run well past the index (about 527) where every stream's
+    # terms pass SQUARE_FROM_BITS and its squares are carried.
     shifts = {"a": 1, "b": 2, "u": 3, "v": 5, "F": 7, "L": 11}
     monkeypatch.setattr(identities, "terms", lambda seq: (term + shifts[seq] for term in terms(seq)))
-    for w in islice(identities._windows(set(identities.Window._fields)), 40):
+    carriers, square = [], identities._Square
+    monkeypatch.setattr(identities, "_Square", lambda: carriers.append(square()) or carriers[-1])
+    windows = list(islice(identities._windows(set(identities.Window._fields)), 701))
+    assert len(carriers) == 5  # one for each of a, b, u, v and L
+    assert windows[-1].a.bit_length() > identities.SQUARE_FROM_BITS + 200
+    for w, after in pairwise(windows):
         assert [w.a_sq, w.b_sq, w.u_sq, w.v_sq, w.L_sq] == [w.a**2, w.b**2, w.u**2, w.v**2, w.L**2]
+        assert w.L_cross == w.L * after.L
+
+
+# Any int, from 0 to far past SQUARE_FROM_BITS, of either sign.
+ANY_INT = st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40), st.integers(-(2**2200), 2**2200))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(ANY_INT, min_size=1, max_size=12))
+def test_a_carried_square_is_exact_for_any_stream(xs):
+    carry, prev = identities._Square(), 0
+    for x in xs:
+        assert carry(x) == x * x
+        assert carry.cross == x * prev
+        prev = x
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.fixed_dictionaries({seq: st.lists(ANY_INT, min_size=1, max_size=10) for seq in "abuvL"}),
+    st.sampled_from([0, 1, 64, identities.SQUARE_FROM_BITS]),
+)
+def test_window_squares_are_exact_for_any_streams(streams, bits):
+    # Streams that follow no recurrence, with sign changes, huge jumps and
+    # as few as one term, on both sides of the switch to carried squares.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "terms", lambda seq: iter(streams[seq]))
+        patch.setattr(identities, "SQUARE_FROM_BITS", bits)
+        windows = list(identities._windows(set(identities.Window._fields) - {"F"}))
+    L = streams["L"]
+    assert len(windows) == min(*map(len, streams.values()), len(L) - 1, len(L) // 2)
+    for w in windows:
+        assert [w.a_sq, w.b_sq, w.u_sq, w.v_sq, w.L_sq] == [w.a**2, w.b**2, w.u**2, w.v**2, w.L**2]
+        assert w.L_cross == w.L * L[w.n + 1]
 
 
 @pytest.mark.parametrize("name", SUITE_IDS.values(), ids=SUITE_IDS.keys())
@@ -213,6 +256,13 @@ CORRUPTIONS = [
     ("b", 5, 5, {"linkages", "v-square"}),
     ("v", 5, 5, {"congruences", "linkages", "v-square"}),
     ("F", 5, 5, {"linkages"}),
+    # Past the switch to carried squares (about n = 527), a bad term still
+    # fails every suite that reads it or its square.
+    ("a", 700, 700, {"discriminant", "linkages"}),
+    ("b", 700, 700, {"linkages", "v-square"}),
+    ("u", 700, 700, {"discriminant", "congruences", "linkages", "v-square", "bisection", "differences"}),
+    ("v", 700, 700, {"congruences", "linkages", "v-square"}),
+    ("L", 700, 700, {"lucas", "differences"}),  # L_n
 ]
 
 
@@ -225,7 +275,7 @@ def test_one_corrupted_term_fails_every_suite_that_reads_it(monkeypatch, stream,
         monkeypatch.setattr(identities, "numerators", lambda: bump(numerators()))
     else:
         monkeypatch.setattr(identities, "terms", lambda seq: bump(terms(seq)) if seq == stream else terms(seq))
-    failing = {report.name for report in run_all(8) if any(f[0] == n for f in report.failures)}
+    failing = {report.name for report in run_all(n + 3) if any(f[0] == n for f in report.failures)}
     assert failing == readers
 
 
