@@ -43,9 +43,10 @@ EXACT_DECIMAL = decimal.Context(
 # its cross-check, which would make a 512-term request about 18% slower.
 DECIMAL_FROM_BITS = 1500
 
-# gen draws its int terms and its rows in blocks of up to this many, and
-# checks their size once per block. A check per term and per row made a
-# 512-term request about 10% slower, blocks of 64 about 4%, these about 2%.
+# gen draws its int terms, checks them and formats their rows in blocks of up
+# to this many, and sizes the next block once per block. A size check per term
+# and per row made a 512-term request about 10% slower, blocks of 64 about 4%,
+# these about 2%.
 BLOCK = 256
 
 # gen writes its text in pieces of whole rows, each closed once it holds about
@@ -165,7 +166,10 @@ def _open_out(path: str | None) -> Iterator[TextIO | None]:
     """The --out file opened for writing, or None for stdout.
 
     Opened before any work, so an unwritable path is a usage error reported
-    at once, not a traceback after the computation.
+    at once, not a traceback after the computation. A verification error
+    (ArithmeticError) truncates it to empty, so no rows written before the
+    failed check are left behind; a file that cannot be truncated, such as
+    a pipe, is left as it is.
     """
     if path is None:
         yield None
@@ -175,7 +179,12 @@ def _open_out(path: str | None) -> Iterator[TextIO | None]:
     except OSError as exc:
         raise UsageError(f"cannot write --out {path!r}: {exc.strerror}")
     with handle:
-        yield handle
+        try:
+            yield handle
+        except ArithmeticError:
+            with contextlib.suppress(OSError):
+                handle.truncate(0)
+            raise
 
 
 def _emit(text: str, out: TextIO | None) -> None:
@@ -224,17 +233,17 @@ def _gen_request(args: argparse.Namespace) -> tuple[str, RecurrenceSpec | None]:
     return canonical, spec
 
 
-def _decimal_prefix(spec: RecurrenceSpec, count: int) -> list[Decimal]:
-    """[w_0, ..., w_{count-1}] by the recurrence, in exact Decimal arithmetic."""
-    with decimal.localcontext(EXACT_DECIMAL):
-        k, four = Decimal(spec.k), Decimal(4)
-        prev, cur = Decimal(spec.w0), Decimal(spec.w1)
-        terms = [prev, cur]
-        for _ in range(count - 2):
-            prev, cur = cur, four * cur - prev + k
-            terms.append(cur)
-    del terms[count:]
-    return terms
+def _decimal_run(k: int, prev: int, cur: int) -> Iterator[Decimal]:
+    """The terms after prev and cur by w_n = 4*w_{n-1} - w_{n-2} + k, in Decimal.
+
+    Each step is exact only when drawn under EXACT_DECIMAL, which the caller
+    enters once per block it draws.
+    """
+    four, k = Decimal(4), Decimal(k)
+    prev, cur = Decimal(prev), Decimal(cur)
+    while True:
+        prev, cur = cur, four * cur - prev + k
+        yield cur
 
 
 def _fingerprint(terms: Iterable[int] | Iterable[Decimal]) -> tuple[int, int]:
@@ -252,34 +261,76 @@ def _fingerprint(terms: Iterable[int] | Iterable[Decimal]) -> tuple[int, int]:
     return int(total % m) % m, int(running % m) % m
 
 
-def _format_terms(name: str, digits: Iterable[str], fmt: str) -> Iterator[str]:
-    """gen's output text for the terms' decimal strings, in one of the four formats.
+def _digit_blocks(values: Iterator[int], spec: RecurrenceSpec | None) -> Iterator[list[str]]:
+    """The decimal strings of values, one checked block at a time.
+
+    values are drawn in blocks of up to BLOCK, fewer as the strings grow, so
+    that a block, and so the most a piece of _format_terms can pass
+    PIECE_CHARS by, is about a quarter of PIECE_CHARS characters. Blocks
+    print through int->str until the first one that ends past
+    DECIMAL_FROM_BITS. From that block on, for a family spec, values stay
+    the reference and the strings are str() of the same recurrence run on
+    in exact Decimal: linear in the digits, where CPython's int->str is
+    quadratic. Each Decimal block must agree with its int block on
+    _fingerprint before any of its strings is yielded, or ArithmeticError
+    is raised. z, which has no spec, keeps int->str, its terms having about
+    half the digits.
+    """
+    decimals = None
+    if spec is not None:
+        # The two terms before w_0, by the recurrence run backward: the seed
+        # of the Decimal run should the first block already print through it.
+        before = 4 * spec.w0 - spec.w1 + spec.k
+        tail = [4 * before - spec.w0 + spec.k, before]
+    start, n = 0, BLOCK
+    while block := list(itertools.islice(values, n)):
+        if decimals is None and spec is not None:
+            if block[-1].bit_length() > DECIMAL_FROM_BITS:
+                decimals = _decimal_run(spec.k, *tail)
+            else:
+                tail = (tail + block[-2:])[-2:]
+        if decimals is None:
+            digits = list(map(str, block))
+        else:
+            with decimal.localcontext(EXACT_DECIMAL):
+                run = list(itertools.islice(decimals, len(block)))
+                if _fingerprint(run) != _fingerprint(block):
+                    raise ArithmeticError(
+                        f"the Decimal terms {start}..{start + len(block) - 1} "
+                        "disagree with the int terms"
+                    )
+            digits = list(map(str, run))
+        yield digits
+        start += len(block)
+        n = min(BLOCK, PIECE_CHARS // (4 * len(digits[-1])) + 1)
+
+
+def _format_terms(name: str, blocks: Iterable[list[str]], fmt: str) -> Iterator[str]:
+    """gen's output text for blocks of the terms' decimal strings, in one of the four formats.
 
     The text comes in pieces of whole rows, each closed once it holds about
-    PIECE_CHARS characters. The digit strings are drawn only as each piece
-    is built, so one piece is held at a time. Joined, the pieces are the
-    whole text.
+    PIECE_CHARS characters. A block is drawn only as its rows are needed,
+    so one piece and one block are held at a time. Joined, the pieces are
+    the whole text.
     """
-    digits = iter(digits)
-    numbered = enumerate(digits)
     if fmt == "plain":
         sep, head, tail = " ", "", "\n"
-        rows = lambda n: list(itertools.islice(digits, n))
+        rows = lambda start, block: block
     elif fmt == "bfile":
         sep, head, tail = "\n", f"# {name} offset 0\n", "\n"
-        rows = lambda n: [f"{i} {v}" for i, v in itertools.islice(numbered, n)]
+        rows = lambda start, block: [f"{i} {v}" for i, v in enumerate(block, start)]
     elif fmt == "csv":
         sep, head, tail = "\n", "", "\n"
-        rows = lambda n: [f"{i},{v}" for i, v in itertools.islice(numbered, n)]
+        rows = lambda start, block: [f"{i},{v}" for i, v in enumerate(block, start)]
     elif fmt == "json":
         # json.dumps's layout; values are digit strings, which need no escaping.
         sep, head, tail = ", ", "[", "]\n"
-        rows = lambda n: [f'{{"n": {i}, "value": "{v}"}}' for i, v in itertools.islice(numbered, n)]
+        rows = lambda start, block: [f'{{"n": {i}, "value": "{v}"}}' for i, v in enumerate(block, start)]
     else:
         raise UsageError(f"unknown format {fmt!r}")
     piece: list[str] = []
-    size, n = 0, BLOCK
-    while block := rows(n):
+    size = start = 0
+    for block in blocks:
         if size >= PIECE_CHARS:
             # A piece's first row carries the head, or the separator after the
             # previous piece, so one join copies each piece once; its rows are
@@ -287,13 +338,12 @@ def _format_terms(name: str, digits: Iterable[str], fmt: str) -> Iterator[str]:
             piece[0] = head + piece[0]
             text, piece, size, head = sep.join(piece), [], 0, sep
             yield text
+        block = rows(start, block)
+        start += len(block)
         piece += block
         # Past the first terms of some custom specs, rows grow by under a
         # character each, so a block's last row stands for all of it.
         size += len(block[-1]) * len(block)
-        # Long rows come fewer to a block, so that a block, and so the most
-        # a piece can pass PIECE_CHARS by, is about a quarter of a piece.
-        n = min(BLOCK, PIECE_CHARS // (4 * len(block[-1])) + 1)
     piece[0] = head + piece[0]
     piece[-1] += tail
     text = sep.join(piece)
@@ -320,20 +370,11 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
 def cmd_gen(args: argparse.Namespace) -> int:
     """Print the first --count terms of a sequence.
 
-    For the family letters and custom specs, the int terms of
-    recurrences.terms stay the reference. They are drawn in blocks of
-    BLOCK and kept while short; once a block ends past
-    DECIMAL_FROM_BITS, the same recurrence is re-run in Decimal under
-    EXACT_DECIMAL, where every step is exact and the caller's decimal
-    context has no say, and the text is made from str() of those terms:
-    linear in their digits, where CPython's int->str is quadratic. The rest
-    of the int terms then only stream through _fingerprint, so the Decimal
-    terms are the one prefix held. The two runs must agree on _fingerprint,
-    or ArithmeticError is raised and nothing is printed. z keeps int->str,
-    its terms having about half the digits, and holds no list.
-
-    The text is written one piece of _format_terms at a time, so memory is
-    the Decimal terms plus one piece of text.
+    The digit strings come one checked block at a time from _digit_blocks,
+    and the text is written one piece of _format_terms at a time, so memory
+    is one block plus one piece of text, whatever the count. A block that
+    fails its check raises ArithmeticError before any of its rows is
+    written.
     """
     if args.count > PREFIX_WARN_THRESHOLD:
         print(
@@ -342,28 +383,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     name, spec = _gen_request(args)
-    if spec is None:
-        digits: Iterator[str] = map(str, itertools.islice(numerators(), args.count))
-    else:
-        stream = terms(spec)
-        values: list[int] = []
-        for start in range(0, args.count, BLOCK):
-            values += itertools.islice(stream, min(BLOCK, args.count - start))
-            if values[-1].bit_length() > DECIMAL_FROM_BITS:
-                break
-        if values[-1].bit_length() <= DECIMAL_FROM_BITS:
-            digits = map(str, values)
-        else:
-            decimals = _decimal_prefix(spec, args.count)
-            ints = itertools.chain(values, itertools.islice(stream, args.count - len(values)))
-            with decimal.localcontext(EXACT_DECIMAL):
-                if _fingerprint(decimals) != _fingerprint(ints):
-                    raise ArithmeticError(
-                        f"gen {name}: the Decimal terms disagree with the int terms"
-                    )
-            digits = map(str, decimals)
+    values = numerators() if spec is None else terms(spec)
+    blocks = _digit_blocks(itertools.islice(values, args.count), spec)
     with _unlimited_int_digits():
-        for piece in _format_terms(name, digits, args.format):
+        for piece in _format_terms(name, blocks, args.format):
             _emit(piece, args.out)
     return 0
 

@@ -189,7 +189,7 @@ def _discriminant(w: Window) -> Pairs:
     L_{2n+1} must be even before halving; an odd value is recorded as a
     failure (remainder against 0), not a crash.
     """
-    half, odd = divmod(w.L_odd, 2)
+    half, odd = w.L_odd >> 1, w.L_odd & 1
     if odd:
         return [(odd, 0)]
     disc = 1 + 12 * (w.a + w.a_sq)
@@ -208,7 +208,8 @@ def _linkages(w: Window) -> Pairs:
     as a failure rather than raised. u_n - u_{n-1} = L_n is checked in the
     differences chain.
     """
-    half, odd = divmod(w.u - 3, 2)
+    x = w.u - 3
+    half, odd = x >> 1, x & 1
     sixth, rest = divmod(w.v - 3, 6)
     pairs = [(odd, 0) if odd else (w.b, half), (rest, 0) if rest else (w.a, sixth)]
     if w.n >= 1:
@@ -224,7 +225,8 @@ def _v_square(w: Window) -> Pairs:
     multiple of 4).
     """
     vsq = w.v_sq
-    half, odd = divmod(w.L_odd + 2, 2)
+    x = w.L_odd + 2
+    half, odd = x >> 1, x & 1
     return [
         (vsq, 3 * (w.u_sq + 2)),
         (odd, 0) if odd else (vsq, 3 * half),

@@ -402,15 +402,17 @@ def decimal_always(monkeypatch):
 
 @pytest.fixture
 def decimal_calls(monkeypatch):
-    """The counts that gen's Decimal recurrence was asked for."""
+    """How many terms each of gen's Decimal runs was drawn for."""
     calls = []
-    real = cli._decimal_prefix
+    real = cli._decimal_run
 
-    def recording(spec, count):
-        calls.append(count)
-        return real(spec, count)
+    def recording(*seed):
+        calls.append(0)
+        for term in real(*seed):
+            calls[-1] += 1
+            yield term
 
-    monkeypatch.setattr("triavg.cli._decimal_prefix", recording)
+    monkeypatch.setattr("triavg.cli._decimal_run", recording)
     return calls
 
 
@@ -445,7 +447,12 @@ def test_gen_decimal_output_past_the_int_str_digit_cap(capsys, decimal_calls, fm
     cap = _digit_cap()
     code, out, err = run_cli(capsys, "gen", "b", "--count", "7520", "--format", fmt)
     assert (code, err) == (0, "")
-    assert decimal_calls == [7520]
+    # One Decimal run, from the first block that ends past DECIMAL_FROM_BITS.
+    [decimal_terms] = decimal_calls
+    switch = 7520 - decimal_terms
+    assert 0 < switch < 7520 - 6000
+    assert eval_iterative(B_SPEC, switch - 1).bit_length() <= cli.DECIMAL_FROM_BITS
+    assert eval_iterative(B_SPEC, switch + cli.BLOCK - 1).bit_length() > cli.DECIMAL_FROM_BITS
     assert _digit_cap() == cap
     assert out == int_reference("b", b_digits_7520(), fmt)
 
@@ -486,6 +493,17 @@ def test_gen_ignores_the_callers_decimal_context(capsys, decimal_always):
     assert out == expected
 
 
+def corrupt_decimal_runs(monkeypatch, shifts):
+    """Add shifts[i] to the i-th term of each Decimal run gen makes."""
+    real = cli._decimal_run
+
+    def corrupted(*seed):
+        for index, term in enumerate(real(*seed)):
+            yield term + shifts.get(index, 0)
+
+    monkeypatch.setattr("triavg.cli._decimal_run", corrupted)
+
+
 @pytest.mark.parametrize(
     "shifts",
     [{0: 1}, {20: -1}, {39: 10**40}, {3: 1, 17: -1}, {0: -(10**30), 39: 10**30}],
@@ -493,16 +511,8 @@ def test_gen_ignores_the_callers_decimal_context(capsys, decimal_always):
 )
 def test_gen_rejects_corrupted_decimal_terms(tmp_path, capsys, monkeypatch, decimal_always, shifts):
     # One term off, or two off by +d and -d so that their sum is unchanged.
-    real = cli._decimal_prefix
-
-    def corrupted(spec, count):
-        terms = real(spec, count)
-        with decimal.localcontext(cli.EXACT_DECIMAL):
-            for index, delta in shifts.items():
-                terms[index] += delta
-        return terms
-
-    monkeypatch.setattr("triavg.cli._decimal_prefix", corrupted)
+    # All 40 terms are one check block, so nothing at all is written.
+    corrupt_decimal_runs(monkeypatch, shifts)
     code, out, err = run_cli(capsys, "gen", "a", "--count", "40", "--format", "bfile")
     assert code == 1
     assert out == ""
@@ -511,6 +521,34 @@ def test_gen_rejects_corrupted_decimal_terms(tmp_path, capsys, monkeypatch, deci
     code, out, err = run_cli(capsys, "gen", "a", "--count", "40", "--format", "bfile", "--out", str(target))
     assert code == 1
     assert out == ""
+    assert "verification error" in err
+    assert target.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "shifts",
+    [{29: 1}, {25: 10**30}, {22: 1, 33: -1}, {38: -7, 39: 7}],
+    ids=["one", "large", "pair-split", "pair-last"],
+)
+def test_gen_stops_before_a_corrupted_block_past_the_first(tmp_path, capsys, monkeypatch, decimal_always, shifts):
+    # Small blocks and pieces: rows of the blocks that passed go out before
+    # the bad block is reached, and no row from the bad block on does. A
+    # +d/-d pair split across blocks moves the first block's sum.
+    monkeypatch.setattr("triavg.cli.BLOCK", 4)
+    monkeypatch.setattr("triavg.cli.PIECE_CHARS", 64)
+    corrupt_decimal_runs(monkeypatch, shifts)
+    reference = int_reference("a", int_digits(sequence_prefix("a", 40)), "bfile").splitlines()
+    code, out, err = run_cli(capsys, "gen", "a", "--count", "40", "--format", "bfile")
+    assert code == 1
+    assert "verification error" in err
+    first, last = map(int, err.split("Decimal terms ")[1].split()[0].split(".."))
+    assert first <= min(shifts) <= last
+    printed = out.split("\n")
+    assert 1 < len(printed) <= 1 + first
+    assert printed == reference[: len(printed)]
+    target = tmp_path / "a.bfile"
+    code, out, err = run_cli(capsys, "gen", "a", "--count", "40", "--format", "bfile", "--out", str(target))
+    assert (code, out) == (1, "")
     assert "verification error" in err
     assert target.read_text() == ""
 
@@ -564,20 +602,22 @@ def test_gen_output_is_whole_at_piece_boundaries(capsys, monkeypatch, fmt, block
 
 
 def test_gen_peak_memory_is_below_its_text(tmp_path):
-    # The text is written a piece at a time and the int terms only stream
-    # through the fingerprint, so the Decimal terms (about 0.48 bytes per
-    # printed digit) are the largest thing held.
-    target = tmp_path / "a.bfile"
-    tracemalloc.start()
-    try:
-        code = main(["gen", "a", "--count", "7000", "--format", "bfile", "--out", str(target)])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    text = target.read_text()
-    assert text.startswith("# a offset 0\n0 0\n1 1\n2 5\n")
-    assert peak < len(text)
+    # The text is written a piece at a time and each block of terms is
+    # checked and dropped before the next, so the peak is a few pieces'
+    # worth, whatever the count: about 4 * PIECE_CHARS bytes at each size.
+    target = tmp_path / "out.bfile"
+    for letter, count in [("a", 7000), ("b", 7000), ("b", 14000)]:
+        tracemalloc.start()
+        try:
+            code = main(["gen", letter, "--count", str(count), "--format", "bfile", "--out", str(target)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        text = target.read_text()
+        assert text.startswith(int_reference(letter, int_digits(sequence_prefix(letter, 4)), "bfile"))
+        assert peak < len(text)
+        assert peak < 8 * cli.PIECE_CHARS
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
