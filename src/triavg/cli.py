@@ -43,16 +43,17 @@ EXACT_DECIMAL = decimal.Context(
 # its cross-check, which would make a 512-term request about 18% slower.
 DECIMAL_FROM_BITS = 1500
 
-# gen draws its int terms, checks them and formats their rows in blocks of up
+# gen draws its int terms, checks them and writes their rows in blocks of up
 # to this many, and sizes the next block once per block. A size check per term
 # and per row made a 512-term request about 10% slower, blocks of 64 about 4%,
 # these about 2%.
 BLOCK = 256
 
-# gen writes its text in pieces of whole rows, each closed once it holds about
-# this many characters: a 7000-term b-file (13.4 MiB) goes out in 53 pieces of
-# at most 0.27 MiB, and a 512-term request (under 0.09 MiB) in one.
-PIECE_CHARS = 1 << 18
+# Past the first terms, a block holds about this many characters of digits,
+# and gen writes each block as one piece: a 7000-term b-file (13.4 MiB) goes
+# out in 211 writes of at most 80 Ki characters, and a 512-term request in
+# three, two blocks and the tail.
+PIECE_CHARS = 1 << 16
 
 # The Mersenne prime 2^61 - 1, the modulus of gen's exactness fingerprint.
 FINGERPRINT_MODULUS = (1 << 61) - 1
@@ -165,11 +166,12 @@ def _parser() -> argparse.ArgumentParser:
 def _open_out(path: str | None) -> Iterator[TextIO | None]:
     """The --out file opened for writing, or None for stdout.
 
-    Opened before any work, so an unwritable path is a usage error reported
-    at once, not a traceback after the computation. A verification error
-    (ArithmeticError) truncates it to empty, so no rows written before the
-    failed check are left behind; a file that cannot be truncated, such as
-    a pipe, is left as it is.
+    Each command opens it after its own usage checks, so a usage error
+    leaves an existing file as it is, and before any work, so an unwritable
+    path is a usage error reported at once, not a traceback after the
+    computation. A verification error (ArithmeticError) truncates it to
+    empty, so no rows written before the failed check are left behind; a
+    file that cannot be truncated, such as a pipe, is left as it is.
     """
     if path is None:
         yield None
@@ -265,8 +267,7 @@ def _digit_blocks(values: Iterator[int], spec: RecurrenceSpec | None) -> Iterato
     """The decimal strings of values, one checked block at a time.
 
     values are drawn in blocks of up to BLOCK, fewer as the strings grow, so
-    that a block, and so the most a piece of _format_terms can pass
-    PIECE_CHARS by, is about a quarter of PIECE_CHARS characters. Blocks
+    that a block holds about PIECE_CHARS characters of digits. Blocks
     print through int->str until the first one that ends past
     DECIMAL_FROM_BITS. From that block on, for a family spec, values stay
     the reference and the strings are str() of the same recurrence run on
@@ -302,16 +303,15 @@ def _digit_blocks(values: Iterator[int], spec: RecurrenceSpec | None) -> Iterato
             digits = list(map(str, run))
         yield digits
         start += len(block)
-        n = min(BLOCK, PIECE_CHARS // (4 * len(digits[-1])) + 1)
+        n = min(BLOCK, PIECE_CHARS // len(digits[-1]) + 1)
 
 
 def _format_terms(name: str, blocks: Iterable[list[str]], fmt: str) -> Iterator[str]:
     """gen's output text for blocks of the terms' decimal strings, in one of the four formats.
 
-    The text comes in pieces of whole rows, each closed once it holds about
-    PIECE_CHARS characters. A block is drawn only as its rows are needed,
-    so one piece and one block are held at a time. Joined, the pieces are
-    the whole text.
+    The text comes one piece per block, and the tail as a last piece of its
+    own. A block is drawn only when its piece is wanted, so one block and
+    its text are held at a time. Joined, the pieces are the whole text.
     """
     if fmt == "plain":
         sep, head, tail = " ", "", "\n"
@@ -328,27 +328,16 @@ def _format_terms(name: str, blocks: Iterable[list[str]], fmt: str) -> Iterator[
         rows = lambda start, block: [f'{{"n": {i}, "value": "{v}"}}' for i, v in enumerate(block, start)]
     else:
         raise UsageError(f"unknown format {fmt!r}")
-    piece: list[str] = []
-    size = start = 0
+    start = 0
     for block in blocks:
-        if size >= PIECE_CHARS:
-            # A piece's first row carries the head, or the separator after the
-            # previous piece, so one join copies each piece once; its rows are
-            # dropped before it is written.
-            piece[0] = head + piece[0]
-            text, piece, size, head = sep.join(piece), [], 0, sep
-            yield text
         block = rows(start, block)
         start += len(block)
-        piece += block
-        # Past the first terms of some custom specs, rows grow by under a
-        # character each, so a block's last row stands for all of it.
-        size += len(block[-1]) * len(block)
-    piece[0] = head + piece[0]
-    piece[-1] += tail
-    text = sep.join(piece)
-    del piece
-    yield text
+        # The first row carries the head, or the separator after the previous
+        # block, so one join copies the block's text once.
+        block[0] = head + block[0]
+        head = sep
+        yield sep.join(block)
+    yield tail
 
 
 def parse_bfile(text: str) -> list[tuple[int, int]]:
@@ -371,23 +360,23 @@ def cmd_gen(args: argparse.Namespace) -> int:
     """Print the first --count terms of a sequence.
 
     The digit strings come one checked block at a time from _digit_blocks,
-    and the text is written one piece of _format_terms at a time, so memory
-    is one block plus one piece of text, whatever the count. A block that
+    and each block's text is written as one piece of _format_terms, so
+    memory is one block and its text, whatever the count. A block that
     fails its check raises ArithmeticError before any of its rows is
     written.
     """
-    if args.count > PREFIX_WARN_THRESHOLD:
-        print(
-            f"warning: generating {args.count} terms; values grow geometrically "
-            "and the output will be large",
-            file=sys.stderr,
-        )
     name, spec = _gen_request(args)
-    values = numerators() if spec is None else terms(spec)
-    blocks = _digit_blocks(itertools.islice(values, args.count), spec)
-    with _unlimited_int_digits():
+    with _open_out(args.out) as out, _unlimited_int_digits():
+        if args.count > PREFIX_WARN_THRESHOLD:
+            print(
+                f"warning: generating {args.count} terms; values grow geometrically "
+                "and the output will be large",
+                file=sys.stderr,
+            )
+        values = numerators() if spec is None else terms(spec)
+        blocks = _digit_blocks(itertools.islice(values, args.count), spec)
         for piece in _format_terms(name, blocks, args.format):
-            _emit(piece, args.out)
+            _emit(piece, out)
     return 0
 
 
@@ -404,61 +393,61 @@ def _report_lines(report: IdentityReport) -> list[str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite == "all":
-        reports = run_all(args.max_n)
-    elif args.suite in SUITES:
-        reports = run_all(args.max_n, [args.suite])
-    else:
+    if args.suite != "all" and args.suite not in SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; expected all or one of: " + ", ".join(sorted(SUITES)))
-    lines: list[str] = []
-    with _unlimited_int_digits():
-        for report in reports:
-            lines.extend(_report_lines(report))
-    _emit("\n".join(lines) + "\n", args.out)
+    with _open_out(args.out) as out:
+        reports = run_all(args.max_n, SUITES if args.suite == "all" else [args.suite])
+        lines: list[str] = []
+        with _unlimited_int_digits():
+            for report in reports:
+                lines.extend(_report_lines(report))
+        _emit("\n".join(lines) + "\n", out)
     return 0 if all(report.ok for report in reports) else 1
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    pairs = enumerate_solutions(args.max_s)
-    predicted: dict[tuple[int, int], int] = {}
-    n = 1
-    # b_n alone decides where to stop, so no witness is verified past max_s.
-    while eval_closed_form(B_SPEC, n) <= args.max_s:
-        record = witness(n)
-        predicted[(record.s, record.r)] = n
-        n += 1
-    lines = ["# s r average match"]
-    clean = True
-    for s, r in pairs:
-        avg = prefix_average(s)
-        if avg.denominator != 1:
-            lines.append(f"{s} {r} {avg} NON-INTEGRAL")
+    with _open_out(args.out) as out:
+        pairs = enumerate_solutions(args.max_s)
+        predicted: dict[tuple[int, int], int] = {}
+        n = 1
+        # b_n alone decides where to stop, so no witness is verified past max_s.
+        while eval_closed_form(B_SPEC, n) <= args.max_s:
+            record = witness(n)
+            predicted[(record.s, record.r)] = n
+            n += 1
+        lines = ["# s r average match"]
+        clean = True
+        for s, r in pairs:
+            avg = prefix_average(s)
+            if avg.denominator != 1:
+                lines.append(f"{s} {r} {avg} NON-INTEGRAL")
+                clean = False
+                continue
+            index = predicted.pop((s, r), None)
+            if index is None:
+                lines.append(f"{s} {r} {avg} UNEXPECTED")
+                clean = False
+            else:
+                lines.append(f"{s} {r} {avg} (b_{index},a_{index})")
+        for (s, r), index in sorted(predicted.items()):
+            lines.append(f"{s} {r} - MISSED (b_{index},a_{index}) not found by scan")
             clean = False
-            continue
-        index = predicted.pop((s, r), None)
-        if index is None:
-            lines.append(f"{s} {r} {avg} UNEXPECTED")
-            clean = False
-        else:
-            lines.append(f"{s} {r} {avg} (b_{index},a_{index})")
-    for (s, r), index in sorted(predicted.items()):
-        lines.append(f"{s} {r} - MISSED (b_{index},a_{index}) not found by scan")
-        clean = False
-    _emit("\n".join(lines) + "\n", args.out)
+        _emit("\n".join(lines) + "\n", out)
     return 0 if clean else 1
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise UsageError("witness requires n >= 1: b_0 = -1 is not a valid prefix length")
-    record = witness(args.n)
-    status = "VERIFIED" if record.verify() else "FAILED"
-    with _unlimited_int_digits():
-        text = (
-            f"n={record.n} b={record.s} sum={record.total} avg={record.avg} "
-            f"a={record.r} {status}\n"
-        )
-    _emit(text, args.out)
+    with _open_out(args.out) as out:
+        record = witness(args.n)
+        status = "VERIFIED" if record.verify() else "FAILED"
+        with _unlimited_int_digits():
+            text = (
+                f"n={record.n} b={record.s} sum={record.total} avg={record.avg} "
+                f"a={record.r} {status}\n"
+            )
+        _emit(text, out)
     return 0 if status == "VERIFIED" else 1
 
 
@@ -482,14 +471,12 @@ def main(argv: list[str] | None = None) -> int:
     # Looked up per call, so a cmd_* replaced after import is the one that runs.
     handler = globals()[f"cmd_{args.command}"]
     try:
-        # From here on args.out is the open file, or None for stdout.
-        with _open_out(args.out) as args.out:
-            code = handler(args)
-            if args.out is None:
-                # A reader gone before the last buffered bytes is met here,
-                # not in the flush at exit.
-                sys.stdout.flush()
-            return code
+        code = handler(args)
+        if args.out is None:
+            # A reader gone before the last buffered bytes is met here, not
+            # in the flush at exit.
+            sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

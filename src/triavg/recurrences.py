@@ -12,8 +12,9 @@ A spec (k, w0, w1) pins down one sequence. The named instances, by letter:
 Every sequence can be evaluated four independent ways: direct iteration,
 the closed form over Z[sqrt(3)], the L-companion form, and coefficient
 extraction from the generating function. The paths share no arithmetic,
-so their agreement is strong evidence of correctness; the test suite and
-the ``verify`` CLI command exercise exactly that.
+so their agreement is strong evidence of correctness. Only the test suite
+compares them: the ``verify`` CLI command streams the iteration (``terms``)
+and the continued-fraction ladder, and none of the other three.
 """
 
 from __future__ import annotations

@@ -142,6 +142,25 @@ def test_unwritable_out_is_a_usage_error_before_any_work(tmp_path, capsys, monke
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # Counts past the warning threshold: a usage error comes with no warning.
+        (["gen", "q", "--count", str(PREFIX_WARN_THRESHOLD + 1)], "unknown sequence 'q'; expected a, b, u, v, L, F, z or custom"),
+        (["gen", "custom", "--k", "1", "--count", str(PREFIX_WARN_THRESHOLD + 1)], "custom sequences need all of --k, --w0, --w1"),
+        (["verify", "--suite", "nope"], "unknown suite 'nope'; expected all or one of: " + ", ".join(sorted(cli.SUITES))),
+        (["witness", "0"], "witness requires n >= 1: b_0 = -1 is not a valid prefix length"),
+    ],
+    ids=["gen-unknown", "gen-custom", "verify-suite", "witness-0"],
+)
+def test_a_usage_error_leaves_an_existing_out_file_as_it_is(tmp_path, capsys, argv, message):
+    target = tmp_path / "keep.txt"
+    target.write_text("earlier output\n")
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert target.read_text() == "earlier output\n"
+
+
 def test_main_builds_the_parser_once_and_dispatches_at_call_time(capsys, monkeypatch):
     real_build = cli.build_parser
     builds = []
@@ -531,11 +550,11 @@ def test_gen_rejects_corrupted_decimal_terms(tmp_path, capsys, monkeypatch, deci
     ids=["one", "large", "pair-split", "pair-last"],
 )
 def test_gen_stops_before_a_corrupted_block_past_the_first(tmp_path, capsys, monkeypatch, decimal_always, shifts):
-    # Small blocks and pieces: rows of the blocks that passed go out before
-    # the bad block is reached, and no row from the bad block on does. A
-    # +d/-d pair split across blocks moves the first block's sum.
+    # Small blocks: rows of the blocks that passed go out before the bad
+    # block is reached, and no row from the bad block on does. A +d/-d pair
+    # split across blocks moves the first block's sum.
     monkeypatch.setattr("triavg.cli.BLOCK", 4)
-    monkeypatch.setattr("triavg.cli.PIECE_CHARS", 64)
+    monkeypatch.setattr("triavg.cli.PIECE_CHARS", 16)
     corrupt_decimal_runs(monkeypatch, shifts)
     reference = int_reference("a", int_digits(sequence_prefix("a", 40)), "bfile").splitlines()
     code, out, err = run_cli(capsys, "gen", "a", "--count", "40", "--format", "bfile")
@@ -575,36 +594,41 @@ PIECE_CASES = [
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("block, piece_chars", [(1, 1), (3, 1), (2, 40)])
 def test_gen_output_is_whole_at_piece_boundaries(capsys, monkeypatch, fmt, block, piece_chars):
-    # Tiny blocks and pieces put boundaries among the first rows. With a
-    # one-character budget every block is a piece of its own, and every
-    # block after the first holds one row, so the counts below start, end
+    # Tiny blocks put boundaries among the first rows. Each block is written
+    # as one piece and the tail as one more, so the counts below start, end
     # and cross pieces. a and the custom spec switch to Decimal after a few
     # blocks, b at once, and v and z never do.
     monkeypatch.setattr("triavg.cli.BLOCK", block)
     monkeypatch.setattr("triavg.cli.PIECE_CHARS", piece_chars)
-    real_emit = cli._emit
-    pieces = []
+    real_emit, real_blocks = cli._emit, cli._digit_blocks
+    pieces, blocks = [], []
 
     def counting_emit(text, out):
         pieces.append(text)
         real_emit(text, out)
 
+    def counting_blocks(values, spec):
+        for digits in real_blocks(values, spec):
+            blocks.append(digits)
+            yield digits
+
     monkeypatch.setattr("triavg.cli._emit", counting_emit)
+    monkeypatch.setattr("triavg.cli._digit_blocks", counting_blocks)
     for bits, name, seq, reference in PIECE_CASES:
         monkeypatch.setattr("triavg.cli.DECIMAL_FROM_BITS", bits)
         for count in [*range(1, 14), 40]:
             pieces.clear()
+            blocks.clear()
             code, out, err = run_cli(capsys, "gen", *seq, "--count", str(count), "--format", fmt)
             assert (code, err) == (0, "")
             assert out == int_reference(name, reference(count), fmt)
-            if piece_chars == 1:
-                assert len(pieces) == 1 + max(0, count - block)
+            assert len(pieces) == len(blocks) + 1
 
 
 def test_gen_peak_memory_is_below_its_text(tmp_path):
-    # The text is written a piece at a time and each block of terms is
-    # checked and dropped before the next, so the peak is a few pieces'
-    # worth, whatever the count: about 4 * PIECE_CHARS bytes at each size.
+    # The text is written a block at a time and each block of terms is
+    # checked and dropped before the next, so the peak is a few blocks'
+    # worth, whatever the count: about 1.7 * 2^18 bytes at each size.
     target = tmp_path / "out.bfile"
     for letter, count in [("a", 7000), ("b", 7000), ("b", 14000)]:
         tracemalloc.start()
@@ -617,7 +641,7 @@ def test_gen_peak_memory_is_below_its_text(tmp_path):
         text = target.read_text()
         assert text.startswith(int_reference(letter, int_digits(sequence_prefix(letter, 4)), "bfile"))
         assert peak < len(text)
-        assert peak < 8 * cli.PIECE_CHARS
+        assert peak < 3 << 18
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
