@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, TextIO
 
 from .convergents import numerators
 from .identities import SUITES, IdentityReport, run_all
-from .recurrences import B_SPEC, RecurrenceSpec, eval_closed_form, resolve_spec, terms
+from .recurrences import B_SPEC, RecurrenceSpec, resolve_spec, terms
 from .triangular import SIEVE_MODULI, enumerate_solutions, prefix_average, witness
 
 PREFIX_WARN_THRESHOLD = 10**6
@@ -409,12 +409,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     with _open_out(args.out) as out:
         pairs = enumerate_solutions(args.max_s)
         predicted: dict[tuple[int, int], int] = {}
-        n = 1
         # b_n alone decides where to stop, so no witness is verified past max_s.
-        while eval_closed_form(B_SPEC, n) <= args.max_s:
+        # Iteration yields it in a few small additions; the one power of
+        # alpha per index is the one inside witness(n).
+        for n, b in enumerate(itertools.islice(terms(B_SPEC), 1, None), start=1):
+            if b > args.max_s:
+                break
             record = witness(n)
             predicted[(record.s, record.r)] = n
-            n += 1
         lines = ["# s r average match"]
         clean = True
         for s, r in pairs:

@@ -14,7 +14,10 @@ the closed form over Z[sqrt(3)], the L-companion form, and coefficient
 extraction from the generating function. The paths share no arithmetic,
 so their agreement is strong evidence of correctness. Only the test suite
 compares them: the ``verify`` CLI command streams the iteration (``terms``)
-and the continued-fraction ladder, and none of the other three.
+and the continued-fraction ladder, and none of the other three. Outside the
+tests the closed form serves ``triangular.witness`` alone, which weighs one
+power of alpha for both b_n and a_n; ``solve`` takes the b_n that decide
+where it stops from ``terms``.
 """
 
 from __future__ import annotations
@@ -135,8 +138,17 @@ def eval_closed_form(spec: RecurrenceSpec, n: int) -> int:
     be a multiple of 12; either failure raises ArithmeticError.
     """
     _require_index(n)
+    return _closed_form_at(spec, ALPHA**n, n)
+
+
+def _closed_form_at(spec: RecurrenceSpec, power: QuadElem, n: int) -> int:
+    """w_n for spec from a given power = alpha^n, with eval_closed_form's checks.
+
+    Split out so that ``triangular.witness`` can weigh one power for both
+    b_n and a_n.
+    """
     weight_alpha, weight_beta = _closed_form_weights(spec)
-    value = _weigh(weight_alpha, weight_beta, ALPHA**n)
+    value = _weigh(weight_alpha, weight_beta, power)
     return _divide_exactly(value.as_integer() - 6 * spec.k, 12, "closed form", n)
 
 

@@ -16,8 +16,8 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import is_perfect_square
-from .recurrences import A_SPEC, B_SPEC, eval_closed_form
+from .exactnum import ALPHA, is_perfect_square
+from .recurrences import A_SPEC, B_SPEC, _closed_form_at
 
 # Above this many terms the literal sum is skipped and only the closed
 # product formula is used; below it, both are computed and must agree.
@@ -38,7 +38,7 @@ def triangular(k: int) -> int:
     """T_k = k*(k+1)/2."""
     if k < 0:
         raise ValueError(f"triangular numbers are indexed from 0, got {k}")
-    return k * (k + 1) // 2
+    return (k * k + k) // 2
 
 
 def is_triangular(m: int) -> int | None:
@@ -62,11 +62,16 @@ def prefix_sum(s: int) -> int:
     as well and compared, so the closed product never silently drifts from
     the definition.
     """
+    return _prefix_sum(s, s * s)
+
+
+def _prefix_sum(s: int, s_squared: int) -> int:
+    """prefix_sum(s) from a given s^2, which ``witness`` shares with its other checks."""
     if s < 1:
         raise ValueError(f"need at least one term, got s={s}")
-    # s*(s+1)*(s+2) is a product of three consecutive integers, hence
-    # divisible by 6.
-    total = s * (s + 1) * (s + 2) // 6
+    # (s^2 + s)(s + 2) = s(s+1)(s+2) is a product of three consecutive
+    # integers, hence divisible by 6. A square costs less than a product.
+    total = (s_squared + s) * (s + 2) // 6
     if s <= LITERAL_SUM_CUTOFF:
         # Running sums of 1..k build each T_k by addition alone.
         literal = sum(itertools.accumulate(range(1, s + 1)))
@@ -86,7 +91,7 @@ def prefix_average(s: int) -> Fraction:
 
 def check_pair(s: int, r: int) -> bool:
     """Does (s, r) satisfy s^2 + 3s + 2 = 3r^2 + 3r?"""
-    return s * s + 3 * s + 2 == 3 * r * r + 3 * r
+    return s * s + 3 * s + 2 == 3 * (r * r + r)
 
 
 def solve_s_for_r(r: int) -> int | None:
@@ -207,29 +212,33 @@ class TriangularWitness(NamedTuple):
 def witness(n: int) -> TriangularWitness:
     """Build and verify the witness for index n >= 1.
 
-    s = b_n and r = a_n come from the closed form, one power of alpha in
-    Z[sqrt(3)] each, so the cost grows with log n big multiplications
-    rather than n big additions. The prefix sum is then recomputed from
-    first principles (the literal sum too, up to LITERAL_SUM_CUTOFF) and
-    must equal s * T_r exactly: one multiplication that says both that the
-    average is integral and that it is T_r. Only when it fails does a
-    division tell the two apart. The defining equation is checked as well.
-    A failure raises ArithmeticError, since it would mean a bug, not bad
-    input; its message names n rather than the values, so it can be
-    formatted at any size.
+    s = b_n and r = a_n are both weighed from one power of alpha in
+    Z[sqrt(3)], so the cost grows with log n big multiplications rather
+    than n big additions. Every check is then built from the two squares
+    s^2 and r^2. The prefix sum (s^2 + s)(s + 2)/6 is recomputed from first
+    principles (the literal sum too, up to LITERAL_SUM_CUTOFF) and must
+    equal s * T_r, with T_r = (r^2 + r)/2, exactly: one multiplication that
+    says both that the average is integral and that it is T_r. Only when it
+    fails does a division tell the two apart. The defining equation
+    s^2 + 3s + 2 = 3(r^2 + r) is checked as well. A failure raises
+    ArithmeticError, since it would mean a bug, not bad input; its message
+    names n rather than the values, so it can be formatted at any size.
     """
     if n < 1:
         raise ValueError("witness requires n >= 1: b_0 = -1 is not a valid prefix length")
-    s = eval_closed_form(B_SPEC, n)
-    r = eval_closed_form(A_SPEC, n)
-    total = prefix_sum(s)
-    avg = triangular(r)
+    power = ALPHA**n
+    s = _closed_form_at(B_SPEC, power, n)
+    r = _closed_form_at(A_SPEC, power, n)
+    s_squared = s * s
+    twice_avg = r * r + r
+    total = _prefix_sum(s, s_squared)
+    avg = twice_avg // 2
     if total != s * avg:
         if total % s:
             raise ArithmeticError(
                 f"witness {n}: the average of the first s = b_n triangular numbers is not integral"
             )
         raise ArithmeticError(f"witness {n}: the average is not the r-th triangular number, r = a_n")
-    if not check_pair(s, r):
+    if s_squared + 3 * s + 2 != 3 * twice_avg:
         raise ArithmeticError(f"witness {n}: (s, r) = (b_n, a_n) fails the defining equation")
     return TriangularWitness(n=n, s=s, avg=avg, r=r)

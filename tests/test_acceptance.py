@@ -146,8 +146,9 @@ def test_criterion_7_randomized_recurrence_property():
 
 
 def test_criterion_8_deep_witness():
-    # One Z[sqrt(3)] power per term keeps this near 0.1 s; iterating the
-    # recurrences 10^5 steps for each term takes over 2.5 s.
+    # One Z[sqrt(3)] power for both terms, and checks built from their two
+    # squares, keep this near 0.035 s on a shared 2-CPU machine; iterating
+    # the recurrences 10^5 steps for each term takes over 2.5 s.
     with criterion(8, "witness(10^5) verifies", 1.5):
         record = witness(10**5)
         assert record.avg == triangular(record.r)

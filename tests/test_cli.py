@@ -13,6 +13,7 @@ import pytest
 import triavg.cli as cli
 from triavg.cli import PREFIX_WARN_THRESHOLD, _unlimited_int_digits, main, parse_bfile
 from triavg.convergents import numerators
+from triavg.exactnum import QuadElem
 from triavg.recurrences import A_SPEC, B_SPEC, RecurrenceSpec, eval_iterative, sequence_prefix
 
 FORMATS = ("plain", "bfile", "csv", "json")
@@ -245,6 +246,21 @@ def test_solve_verifies_no_witness_past_the_bound(capsys, monkeypatch):
     assert len(out.splitlines()) == 6
     # b_5 = 493 <= 500 < b_6 = 1844.
     assert requested == [1, 2, 3, 4, 5]
+
+
+def test_solve_raises_alpha_to_one_power_per_index(capsys, monkeypatch):
+    powers = []
+    power = QuadElem.__pow__
+
+    def counting(self, exponent):
+        powers.append(exponent)
+        return power(self, exponent)
+
+    monkeypatch.setattr(QuadElem, "__pow__", counting)
+    code, _, _ = run_cli(capsys, "solve", "--max-s", "500")
+    assert code == 0
+    # The stopping test reads b_n by iteration; each witness(n) makes the power.
+    assert powers == [1, 2, 3, 4, 5]
 
 
 def test_witness_output(capsys):

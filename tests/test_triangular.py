@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from triavg import recurrences
 from triavg import triangular as triangular_module
+from triavg.exactnum import QuadElem
 from triavg.recurrences import A_SPEC, B_SPEC, eval_iterative, sequence_prefix
 from triavg.triangular import (
     LITERAL_SUM_CUTOFF,
@@ -276,10 +278,10 @@ def test_scan_never_touches_the_recurrences(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the scan called the recurrences")
 
-    for name in ("eval_iterative", "eval_closed_form", "sequence_prefix", "terms"):
+    for name in ("eval_iterative", "eval_closed_form", "_closed_form_at", "sequence_prefix", "terms"):
         monkeypatch.setattr(recurrences, name, refuse)
-    # triavg.triangular holds eval_closed_form under its own name as well.
-    monkeypatch.setattr(triangular_module, "eval_closed_form", refuse)
+    # triavg.triangular holds _closed_form_at under its own name as well.
+    monkeypatch.setattr(triangular_module, "_closed_form_at", refuse)
     # Rebuild the table under the patch too.
     residue_masks.cache_clear()
     assert enumerate_solutions(10**4) == expected
@@ -304,14 +306,14 @@ def test_witness_does_not_iterate(monkeypatch):
     assert [witness(n) for n in (1, 2, 10, 500)] == expected
 
 
-def _witness_with_wrong_s(monkeypatch, n, offset):
-    """witness(n) with b_n replaced by b_n + offset."""
-    right = recurrences.eval_closed_form
+def _witness_with_wrong(monkeypatch, n, wrong_spec, offset):
+    """witness(n) with the term of wrong_spec (B_SPEC or A_SPEC) moved by offset."""
+    right = recurrences._closed_form_at
 
-    def wrong_b(spec, index):
-        return right(spec, index) + (offset if spec == B_SPEC else 0)
+    def wrong_term(spec, power, index):
+        return right(spec, power, index) + (offset if spec == wrong_spec else 0)
 
-    monkeypatch.setattr(triangular_module, "eval_closed_form", wrong_b)
+    monkeypatch.setattr(triangular_module, "_closed_form_at", wrong_term)
     return witness(n)
 
 
@@ -321,11 +323,50 @@ def test_witness_rejects_an_s_with_a_non_integral_average(monkeypatch, n):
     # (s + 1)(s + 2)/6, the average, is not an integer.
     offset = 3 - eval_iterative(B_SPEC, n) % 3
     with pytest.raises(ArithmeticError, match="not integral"):
-        _witness_with_wrong_s(monkeypatch, n, offset)
+        _witness_with_wrong(monkeypatch, n, B_SPEC, offset)
 
 
 @pytest.mark.parametrize("n", [2, 40])
 def test_witness_rejects_an_s_whose_average_is_not_t_r(monkeypatch, n):
     # b_n + 3 keeps the residue mod 3, so the average stays integral.
     with pytest.raises(ArithmeticError, match="not the r-th triangular number"):
-        _witness_with_wrong_s(monkeypatch, n, 3)
+        _witness_with_wrong(monkeypatch, n, B_SPEC, 3)
+
+
+@pytest.mark.parametrize("n", [2, 40])
+def test_witness_rejects_an_r_whose_triangular_number_is_not_the_average(monkeypatch, n):
+    # The average of the first b_n triangular numbers is still an integer,
+    # but it is T_{a_n}, not T_{a_n + 1}.
+    with pytest.raises(ArithmeticError, match="not the r-th triangular number"):
+        _witness_with_wrong(monkeypatch, n, A_SPEC, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 300, 30000])
+def test_witness_raises_alpha_to_one_power(monkeypatch, n):
+    powers = []
+    power = QuadElem.__pow__
+
+    def counting(self, exponent):
+        powers.append(exponent)
+        return power(self, exponent)
+
+    monkeypatch.setattr(QuadElem, "__pow__", counting)
+    assert witness(n).verify()
+    assert powers == [n]
+
+
+def test_witness_still_runs_the_literal_sum_up_to_the_cutoff(monkeypatch):
+    # b_9 = 95,929 is under LITERAL_SUM_CUTOFF and b_10 = 358,016 is over it,
+    # so a literal sum that loses a term breaks witness(9) alone.
+    deep = witness(10)
+    accumulate = itertools.accumulate
+
+    def losing_t1(iterable):
+        sums = accumulate(iterable)
+        next(sums)
+        return sums
+
+    monkeypatch.setattr(itertools, "accumulate", losing_t1)
+    with pytest.raises(ArithmeticError, match="prefix sum mismatch at s=95929"):
+        witness(9)
+    assert witness(10) == deep
