@@ -7,13 +7,16 @@ so no prefix is held: a, b, u, v and F from their recurrences, L from two
 runs of its recurrence (one at n, one at 2n), and z from the
 continued-fraction ladder, which shares nothing with u. Each of a, b, u, v
 and L is squared once per index, from its own term, and every suite reads
-that one square; L_n * L_{n+1} is taken from the L stream too. Once a
-stream's terms are long, its square and cross product are carried from
-the previous index (see _Square) in time linear in the digits, instead of
-a big multiplication per index. Each check evaluates both sides of an
-identity from independently computed sequences (never the same value
-against itself), and mismatches are reported instead of raised, so a
-report is useful for diffing when something breaks.
+that one square; L_n * L_{n+1} is taken from the L stream too. One
+generator (_stream) carries each of these streams: it yields each term
+with the term before, its square and its product with the term before.
+From the index after a term longer than SQUARE_FROM_BITS (n of about 527
+here) on, both products are carried from the index before in time linear
+in the digits, instead of a big multiplication per index. Each check
+evaluates both sides of an identity from independently computed sequences
+(never the same value against itself), and mismatches are reported
+instead of raised, so a report is useful for diffing when something
+breaks.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class Window(NamedTuple):
 
     A term whose stream no selected suite reads is None, and so is an
     unread square and each *_prev term at n = 0. Each x_sq is x * x, and
-    L_cross is L_n * L_{n+1}, each taken once from its own stream.
+    L_cross is L_n * L_{n+1}, each taken once by its own stream's _stream.
     """
 
     n: int
@@ -80,81 +83,78 @@ def _pairs(values: Iterator[int]) -> Iterator[tuple[int, int]]:
     return zip(values, values)
 
 
-class _Square:
-    """x_n^2 and x_n * x_{n-1} of an int stream, each carried from the index before.
+def _stream(xs: Iterable[int], squared: bool) -> Iterator[tuple[int | None, int, int | None, int | None]]:
+    """(x_{n-1}, x_n, x_n^2, x_n * x_{n-1}) of an int stream at n = 0, 1, ...
 
-    With c = x_n - 4*x_{n-1} + x_{n-2}:
+    x_{-1} is None, and so is x_0 * x_{-1}; both products are None at every
+    n unless squared. They are multiplied at n = 0 and after a term of at
+    most SQUARE_FROM_BITS bits. After a longer term they are carried from
+    the values in hand, x_{n-1}, x_{n-2}, their squares and their product,
+    whether the step before multiplied or carried them. With
+    c = x_n - 4*x_{n-1} + x_{n-2}:
 
         x_n * x_{n-1} = 4*x_{n-1}^2 - x_{n-1}*x_{n-2} + c*x_{n-1},
         x_n^2 = 4*(x_n*x_{n-1} - x_{n-1}*x_{n-2}) + x_{n-2}^2 + c*(x_n - x_{n-2}).
 
-    These are polynomial identities, so every value is exact for any ints.
-    On a stream with w_n = 4*w_{n-1} - w_{n-2} + k, c is k, and a step takes
-    additions and small-by-big products only, in time linear in the digits;
-    on any other stream a step pays two big products. The stream starts after
-    two zero terms.
+    These are polynomial identities, so every value is exact for any ints
+    (x_{-1} counts as 0). On a stream with w_n = 4*w_{n-1} - w_{n-2} + k, c
+    is k, and a step takes additions and small-by-big products only, in time
+    linear in the digits; on any other stream a step pays two big products.
     """
-
-    __slots__ = ("before", "last", "sq_before", "sq", "cross")
-
-    def __init__(self) -> None:
-        self.before = self.last = self.sq_before = self.sq = self.cross = 0
-
-    def __call__(self, x: int) -> int:
-        """x^2 of the next term x; x times the term before is left in .cross."""
-        before, last, cross = self.before, self.last, self.cross
-        c = x - 4 * last + before
-        self.cross = 4 * self.sq - cross + c * last
-        sq = 4 * (self.cross - cross) + self.sq_before + c * (x - before)
-        self.before, self.last, self.sq_before, self.sq = last, x, self.sq, sq
-        return sq
+    if not squared:
+        for before, x in pairwise(chain([None], xs)):
+            yield before, x, None, None
+        return
+    xs = iter(xs)
+    last = next(xs, None)
+    if last is None:
+        return
+    sq = last * last
+    yield None, last, sq, None
+    before = sq_before = cross = 0
+    long = 1 << 2 * SQUARE_FROM_BITS
+    for x in xs:
+        if sq < long:
+            before, last, sq_before = last, x, sq
+            sq, cross = x * x, x * before
+        else:
+            c = x - 4 * last + before
+            step = 4 * sq - cross + c * last
+            sq_before, sq = sq, 4 * (step - cross) + sq_before + c * (x - before)
+            before, last, cross = last, x, step
+        yield before, x, sq, cross
 
 
 def _windows(reads: set[str]) -> Iterator[Window]:
     """The windows at n = 0, 1, 2, ...
 
-    A stream moves only if a term drawn from it is read, and a square is
-    taken only if it is read (L_sq and L_cross go together). A square is
-    x * x while x has at most SQUARE_FROM_BITS bits; from the index after a
-    longer term on, its stream carries it in a _Square. The L stream's
-    _Square runs one term ahead, so that its cross product is L_n * L_{n+1}.
+    A stream moves only if a term drawn from it is read, and its _stream
+    takes the square and the cross product only if one of them is read.
+    L_cross is the cross product of the L stream's next item, L_{n+1} * L_n,
+    so that stream is read in overlapping pairs of items.
     """
 
-    def stream(names: tuple[str, ...], make: Callable[[], Iterator], idle: object = None) -> Iterator:
-        return repeat(idle) if reads.isdisjoint(names) else make()
+    def stream(x: str) -> Iterator[tuple]:
+        if reads.isdisjoint((x, f"{x}_sq", f"{x}_prev", f"{x}_cross")):
+            return repeat((None,) * 4)
+        return _stream(terms(x), not reads.isdisjoint((f"{x}_sq", f"{x}_cross")))
 
     rows = zip(
-        stream(("a", "a_sq"), lambda: terms("a")),
-        stream(("b", "b_sq"), lambda: terms("b")),
-        stream(("u", "u_sq", "u_prev"), lambda: pairwise(chain([None], terms("u"))), (None, None)),
-        stream(("v", "v_sq", "v_prev"), lambda: pairwise(chain([None], terms("v"))), (None, None)),
-        stream(("F",), lambda: terms("F")),
-        stream(("L", "L_sq", "L_cross"), lambda: pairwise(terms("L")), (None, None)),
-        stream(("L_even", "L_odd"), lambda: _pairs(terms("L")), (None, None)),
-        stream(("z_prev", "z_even", "z_odd"), lambda: _pairs(numerators()), (None, None)),
+        stream("a"),
+        stream("b"),
+        stream("u"),
+        stream("v"),
+        stream("F"),
+        pairwise(stream("L")),
+        repeat((None, None)) if reads.isdisjoint(("L_even", "L_odd")) else _pairs(terms("L")),
+        repeat((None, None)) if reads.isdisjoint(("z_prev", "z_even", "z_odd")) else _pairs(numerators()),
     )
-    # For each stream: True while its square is taken directly, its _Square
-    # once carried, and False if no square of it is read.
-    sq_a, sq_b, sq_u, sq_v = (f"{x}_sq" in reads for x in "abuv")
-    sq_L = not reads.isdisjoint(("L_sq", "L_cross"))
-    long = 1 << 2 * SQUARE_FROM_BITS
     # Builds a Window from a tuple, without Window()'s 20-argument call.
     new = tuple.__new__
     z_odd = None
-    for n, (a, b, (u_prev, u), (v_prev, v), F, (L, L_next), (L_even, L_odd), (z_even, z_next_odd)) in enumerate(rows):
+    for n, ((_, a, a_sq, _), (_, b, b_sq, _), (u_prev, u, u_sq, _), (v_prev, v, v_sq, _), (_, F, _, _),
+            ((_, L, L_sq, _), (_, _, _, L_cross)), (L_even, L_odd), (z_even, z_next_odd)) in enumerate(rows):
         z_prev, z_odd = z_odd, z_next_odd
-        a_sq = a * a if sq_a is True else sq_a(a) if sq_a else None
-        b_sq = b * b if sq_b is True else sq_b(b) if sq_b else None
-        u_sq = u * u if sq_u is True else sq_u(u) if sq_u else None
-        v_sq = v * v if sq_v is True else sq_v(v) if sq_v else None
-        if sq_L is True:
-            L_sq, L_cross = L * L, L * L_next
-        elif sq_L:
-            L_sq = sq_L.sq
-            sq_L(L_next)
-            L_cross = sq_L.cross
-        else:
-            L_sq = L_cross = None
         yield new(Window, (
             n,
             a, a_sq,
@@ -165,17 +165,6 @@ def _windows(reads: set[str]) -> Iterator[Window]:
             L, L_sq, L_cross, L_even, L_odd,
             z_prev, z_even, z_odd,
         ))
-        if sq_a is True and a_sq >= long:
-            sq_a = _Square()
-        if sq_b is True and b_sq >= long:
-            sq_b = _Square()
-        if sq_u is True and u_sq >= long:
-            sq_u = _Square()
-        if sq_v is True and v_sq >= long:
-            sq_v = _Square()
-        if sq_L is True and L_sq >= long:
-            sq_L = _Square()
-            sq_L(L_next)
 
 
 def _lucas(w: Window) -> Pairs:

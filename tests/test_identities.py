@@ -3,7 +3,7 @@ import tracemalloc
 from itertools import islice, pairwise
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triavg import identities
@@ -153,11 +153,24 @@ def test_each_square_is_squared_from_its_own_term(monkeypatch):
     # The windows run well past the index (about 527) where every stream's
     # terms pass SQUARE_FROM_BITS and its squares are carried.
     shifts = {"a": 1, "b": 2, "u": 3, "v": 5, "F": 7, "L": 11}
-    monkeypatch.setattr(identities, "terms", lambda seq: (term + shifts[seq] for term in terms(seq)))
-    carriers, square = [], identities._Square
-    monkeypatch.setattr(identities, "_Square", lambda: carriers.append(square()) or carriers[-1])
+    letters, squared, stream = {}, [], identities._stream
+
+    def shifted(seq):
+        xs = (term + shifts[seq] for term in terms(seq))
+        letters[xs] = seq
+        return xs
+
+    def counted(xs, is_squared):
+        if is_squared:
+            squared.append(letters[xs])
+        return stream(xs, is_squared)
+
+    monkeypatch.setattr(identities, "terms", shifted)
+    monkeypatch.setattr(identities, "_stream", counted)
+    list(islice(identities._windows(set(SUITES["bisection"][1])), 3))
+    assert list(letters.values()) == ["u"] and not squared  # bisection reads u, but no square
     windows = list(islice(identities._windows(set(identities.Window._fields)), 701))
-    assert len(carriers) == 5  # one for each of a, b, u, v and L
+    assert sorted(squared) == sorted("abuvL")
     assert windows[-1].a.bit_length() > identities.SQUARE_FROM_BITS + 200
     for w, after in pairwise(windows):
         assert [w.a_sq, w.b_sq, w.u_sq, w.v_sq, w.L_sq] == [w.a**2, w.b**2, w.u**2, w.v**2, w.L**2]
@@ -169,13 +182,26 @@ ANY_INT = st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40), st.integer
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(ANY_INT, min_size=1, max_size=12))
-def test_a_carried_square_is_exact_for_any_stream(xs):
-    carry, prev = identities._Square(), 0
-    for x in xs:
-        assert carry(x) == x * x
-        assert carry.cross == x * prev
-        prev = x
+@given(st.lists(ANY_INT, min_size=1, max_size=12), st.sampled_from([0, 1, 64, 1000]))
+@example([5], 1000)  # one term
+@example([-3, 7], 0)  # two terms, carried from the second on
+@example([-(2**64), 2**65 - 1, 1], 64)  # past the cutoff from the first term
+@example([2**1500 + 1, -(2**1400), 2**1600, 3], 1000)
+def test_a_carried_square_is_exact_for_any_stream(xs, bits):
+    # Streams that follow no recurrence, with sign changes and huge jumps,
+    # multiplied or carried at each cutoff: at 0 every nonzero term counts
+    # as long, so the carry takes over from n = 1.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "SQUARE_FROM_BITS", bits)
+        items = list(identities._stream(iter(xs), True))
+        plain = list(identities._stream(iter(xs), False))
+    prevs = [None, *xs[:-1]]
+    assert items == [(p, x, x * x, None if p is None else x * p) for p, x in zip(prevs, xs)]
+    assert plain == [(p, x, None, None) for p, x in zip(prevs, xs)]
+
+
+def test_an_empty_stream_yields_nothing():
+    assert list(identities._stream([], True)) == list(identities._stream([], False)) == []
 
 
 @settings(max_examples=150, deadline=None)
