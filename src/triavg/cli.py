@@ -17,9 +17,9 @@ import itertools
 import os
 import sys
 from decimal import Decimal
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
-from .convergents import numerators
+from .convergents import _ladder
 from .identities import SUITES, IdentityReport, run_all
 from .recurrences import B_SPEC, RecurrenceSpec, resolve_spec, terms
 from .triangular import SIEVE_MODULI, enumerate_solutions, prefix_average, witness
@@ -38,9 +38,10 @@ EXACT_DECIMAL = decimal.Context(
     traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
 )
 
-# gen prints through Decimal once its last term passes this many bits (about
-# 450 digits): below that, int->str costs no more than the Decimal re-run and
-# its cross-check, which would make a 512-term request about 18% slower.
+# gen prints any sequence, z included, through Decimal once its last term
+# passes this many bits (about 450 digits): below that, int->str costs no
+# more than the Decimal re-run and its cross-check, which would make a
+# 512-term request about 18% slower.
 DECIMAL_FROM_BITS = 1500
 
 # gen draws its int terms, checks them and writes their rows in blocks of up
@@ -213,39 +214,32 @@ def _unlimited_int_digits() -> Iterator[None]:
         sys.set_int_max_str_digits(saved)
 
 
-def _gen_request(args: argparse.Namespace) -> tuple[str, RecurrenceSpec | None]:
-    """The output name and the family spec of a gen request; no spec for z."""
+def _gen_request(args: argparse.Namespace) -> tuple[str, Callable[[type], Iterator]]:
+    """The output name of a gen request and its stream.
+
+    stream(num) is the sequence's own generator, terms() for a family spec
+    and the convergent ladder for z, run from its seeds (and k) converted
+    by num: int for the reference terms, Decimal for the printed ones.
+    """
     custom_flags = [args.k, args.w0, args.w1]
     if args.seq == "custom":
         if any(flag is None for flag in custom_flags):
             raise UsageError("custom sequences need all of --k, --w0, --w1")
         name = f"custom(k={args.k},w0={args.w0},w1={args.w1})"
-        return name, RecurrenceSpec(k=args.k, w0=args.w0, w1=args.w1)
-    if any(flag is not None for flag in custom_flags):
+        spec = RecurrenceSpec(k=args.k, w0=args.w0, w1=args.w1)
+    elif any(flag is not None for flag in custom_flags):
         raise UsageError("--k/--w0/--w1 are only valid with seq 'custom'")
-    if args.seq == "z":
-        return "z", None
-    try:
-        spec = resolve_spec(args.seq)
-    except KeyError:
-        raise UsageError(
-            f"unknown sequence {args.seq!r}; expected a, b, u, v, L, F, z or custom"
-        )
-    canonical = next(letter for letter in "abuvLF" if resolve_spec(letter) == spec)
-    return canonical, spec
-
-
-def _decimal_run(k: int, prev: int, cur: int) -> Iterator[Decimal]:
-    """The terms after prev and cur by w_n = 4*w_{n-1} - w_{n-2} + k, in Decimal.
-
-    Each step is exact only when drawn under EXACT_DECIMAL, which the caller
-    enters once per block it draws.
-    """
-    four, k = Decimal(4), Decimal(k)
-    prev, cur = Decimal(prev), Decimal(cur)
-    while True:
-        prev, cur = cur, four * cur - prev + k
-        yield cur
+    elif args.seq == "z":
+        return "z", lambda num: _ladder(num(0), num(1))
+    else:
+        try:
+            spec = resolve_spec(args.seq)
+        except KeyError:
+            raise UsageError(
+                f"unknown sequence {args.seq!r}; expected a, b, u, v, L, F, z or custom"
+            )
+        name = next(letter for letter in "abuvLF" if resolve_spec(letter) == spec)
+    return name, lambda num: terms(RecurrenceSpec(*map(num, spec)))
 
 
 def _fingerprint(terms: Iterable[int] | Iterable[Decimal]) -> tuple[int, int]:
@@ -263,36 +257,29 @@ def _fingerprint(terms: Iterable[int] | Iterable[Decimal]) -> tuple[int, int]:
     return int(total % m) % m, int(running % m) % m
 
 
-def _digit_blocks(values: Iterator[int], spec: RecurrenceSpec | None) -> Iterator[list[str]]:
-    """The decimal strings of values, one checked block at a time.
+def _digit_blocks(stream: Callable[[type], Iterator], count: int) -> Iterator[list[str]]:
+    """The decimal strings of the first count terms of stream, one checked block at a time.
 
-    values are drawn in blocks of up to BLOCK, fewer as the strings grow, so
-    that a block holds about PIECE_CHARS characters of digits. Blocks
-    print through int->str until the first one that ends past
-    DECIMAL_FROM_BITS. From that block on, for a family spec, values stay
-    the reference and the strings are str() of the same recurrence run on
-    in exact Decimal: linear in the digits, where CPython's int->str is
-    quadratic. Each Decimal block must agree with its int block on
-    _fingerprint before any of its strings is yielded, or ArithmeticError
-    is raised. z, which has no spec, keeps int->str, its terms having about
-    half the digits.
+    The int terms, stream(int), are drawn in blocks of up to BLOCK, fewer as
+    the strings grow, so that a block holds about PIECE_CHARS characters of
+    digits. Blocks print through int->str until the first one that ends
+    past DECIMAL_FROM_BITS. From that block on, the int terms stay the
+    reference and the strings are str() of stream(Decimal), run from the
+    seeds in exact Decimal and drawn past the terms already printed: linear
+    in the digits, where CPython's int->str is quadratic. Each Decimal block
+    must agree with its int block on _fingerprint before any of its strings
+    is yielded, or ArithmeticError is raised.
     """
+    values = itertools.islice(stream(int), count)
     decimals = None
-    if spec is not None:
-        # The two terms before w_0, by the recurrence run backward: the seed
-        # of the Decimal run should the first block already print through it.
-        before = 4 * spec.w0 - spec.w1 + spec.k
-        tail = [4 * before - spec.w0 + spec.k, before]
     start, n = 0, BLOCK
     while block := list(itertools.islice(values, n)):
-        if decimals is None and spec is not None:
-            if block[-1].bit_length() > DECIMAL_FROM_BITS:
-                decimals = _decimal_run(spec.k, *tail)
-            else:
-                tail = (tail + block[-2:])[-2:]
+        if decimals is None and block[-1].bit_length() > DECIMAL_FROM_BITS:
+            decimals = itertools.islice(stream(Decimal), start, None)
         if decimals is None:
             digits = list(map(str, block))
         else:
+            # The first draw also runs the skipped steps, all under EXACT_DECIMAL.
             with decimal.localcontext(EXACT_DECIMAL):
                 run = list(itertools.islice(decimals, len(block)))
                 if _fingerprint(run) != _fingerprint(block):
@@ -359,13 +346,14 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
 def cmd_gen(args: argparse.Namespace) -> int:
     """Print the first --count terms of a sequence.
 
-    The digit strings come one checked block at a time from _digit_blocks,
-    and each block's text is written as one piece of _format_terms, so
-    memory is one block and its text, whatever the count. A block that
-    fails its check raises ArithmeticError before any of its rows is
-    written.
+    Every sequence, z included, takes the same path: the digit strings of
+    its stream come one checked block at a time from _digit_blocks, through
+    int->str or, past DECIMAL_FROM_BITS, through Decimal. Each block's text
+    is written as one piece of _format_terms, so memory is one block and
+    its text, whatever the count. A block that fails its check raises
+    ArithmeticError before any of its rows is written.
     """
-    name, spec = _gen_request(args)
+    name, stream = _gen_request(args)
     with _open_out(args.out) as out, _unlimited_int_digits():
         if args.count > PREFIX_WARN_THRESHOLD:
             print(
@@ -373,9 +361,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
                 "and the output will be large",
                 file=sys.stderr,
             )
-        values = numerators() if spec is None else terms(spec)
-        blocks = _digit_blocks(itertools.islice(values, args.count), spec)
-        for piece in _format_terms(name, blocks, args.format):
+        for piece in _format_terms(name, _digit_blocks(stream, args.count), args.format):
             _emit(piece, out)
     return 0
 
@@ -411,11 +397,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         predicted: dict[tuple[int, int], int] = {}
         # b_n alone decides where to stop, so no witness is verified past max_s.
         # Iteration yields it in a few small additions; the one power of
-        # alpha per index is the one inside witness(n).
+        # alpha per index is the one inside witness(n), whose b_n, weighed
+        # from the closed form, must be the same.
         for n, b in enumerate(itertools.islice(terms(B_SPEC), 1, None), start=1):
             if b > args.max_s:
                 break
             record = witness(n)
+            if record.s != b:
+                raise ArithmeticError(f"b_{n} = {b} by iteration, but the closed form disagrees")
             predicted[(record.s, record.r)] = n
         lines = ["# s r average match"]
         clean = True

@@ -28,7 +28,8 @@ def _ladder(before: int, first: int) -> Iterator[int]:
     """x_0 = first, then x_i = t_i*x_{i-1} + x_{i-2} with x_{-1} = before, without end.
 
     Seeded (0, 1) it gives the convergent numerators, seeded (1, 0) the
-    denominators.
+    denominators. It runs on any number type closed under its step, as
+    ``gen`` runs the numerators in Decimal.
     """
     prev, cur = before, first
     yield cur

@@ -75,7 +75,11 @@ def _require_index(n: int) -> None:
 
 
 def terms(seq: SequenceId) -> Iterator[int]:
-    """w_0, w_1, w_2, ... for a named or custom sequence, by iteration, without end."""
+    """w_0, w_1, w_2, ... for a named or custom sequence, by iteration, without end.
+
+    It runs on any number type closed under its step, as ``gen`` runs a spec
+    whose seeds are Decimal.
+    """
     k, prev, cur = resolve_spec(seq)
     yield prev
     while True:

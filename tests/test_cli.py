@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 
 import pytest
 
@@ -123,7 +124,7 @@ def test_gen_out_file(tmp_path, capsys):
     "argv, first_work",
     [
         (["gen", "a", "--count", "3"], "terms"),
-        (["gen", "z", "--count", "3"], "numerators"),
+        (["gen", "z", "--count", "3"], "_ladder"),
         (["verify", "--max-n", "4"], "run_all"),
         (["solve", "--max-s", "10"], "enumerate_solutions"),
         (["witness", "2"], "witness"),
@@ -261,6 +262,21 @@ def test_solve_raises_alpha_to_one_power_per_index(capsys, monkeypatch):
     assert code == 0
     # The stopping test reads b_n by iteration; each witness(n) makes the power.
     assert powers == [1, 2, 3, 4, 5]
+
+
+def test_solve_fails_when_iteration_and_closed_form_disagree_on_b(tmp_path, capsys, monkeypatch):
+    real_terms = cli.terms
+
+    def one_wrong_b(spec):
+        for n, b in enumerate(real_terms(spec)):
+            yield b + (n == 3)
+
+    monkeypatch.setattr("triavg.cli.terms", one_wrong_b)
+    message = "verification error: b_3 = 35 by iteration, but the closed form disagrees\n"
+    assert run_cli(capsys, "solve", "--max-s", "500") == (1, "", message)
+    target = tmp_path / "solve.txt"
+    assert run_cli(capsys, "solve", "--max-s", "500", "--out", str(target)) == (1, "", message)
+    assert target.read_text() == ""
 
 
 def test_witness_output(capsys):
@@ -418,6 +434,13 @@ def int_digits(values):
         return [str(v) for v in values]
 
 
+def prefix_digits(seq, count):
+    """str() of the first count terms of a letter's sequence, z included."""
+    if seq == "z":
+        return int_digits(itertools.islice(numerators(), count))
+    return int_digits(sequence_prefix(seq, count))
+
+
 def int_reference(name, digits, fmt):
     """gen's text made from str() of each int, the way it was before Decimal output."""
     if fmt == "plain":
@@ -431,33 +454,59 @@ def int_reference(name, digits, fmt):
 
 @pytest.fixture
 def decimal_always(monkeypatch):
-    """Send every family request through the Decimal path, however small."""
+    """Send every request through the Decimal path, however small."""
     monkeypatch.setattr("triavg.cli.DECIMAL_FROM_BITS", -1)
+
+
+def wrap_decimal_streams(monkeypatch, wrap):
+    """Pass each Decimal stream that gen draws through wrap; int streams stay as they are."""
+    real = cli._gen_request
+
+    def wrapped(args):
+        name, stream = real(args)
+        return name, lambda num: wrap(stream(num)) if num is Decimal else stream(num)
+
+    monkeypatch.setattr("triavg.cli._gen_request", wrapped)
 
 
 @pytest.fixture
 def decimal_calls(monkeypatch):
-    """How many terms each of gen's Decimal runs was drawn for."""
+    """How many terms each of gen's Decimal streams was drawn for, skipped ones included."""
     calls = []
-    real = cli._decimal_run
 
-    def recording(*seed):
+    def recording(stream):
         calls.append(0)
-        for term in real(*seed):
+        for term in stream:
             calls[-1] += 1
             yield term
 
-    monkeypatch.setattr("triavg.cli._decimal_run", recording)
+    wrap_decimal_streams(monkeypatch, recording)
     return calls
 
 
+@pytest.fixture
+def decimal_checks(monkeypatch):
+    """The length of each Decimal block gen checks, and so prints."""
+    checks = []
+    real = cli._fingerprint
+
+    def recording(terms):
+        terms = list(terms)
+        if isinstance(terms[0], Decimal):
+            checks.append(len(terms))
+        return real(terms)
+
+    monkeypatch.setattr("triavg.cli._fingerprint", recording)
+    return checks
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("letter", "abuvLF")
+@pytest.mark.parametrize("letter", "abuvLFz")
 def test_gen_decimal_output_matches_int_output(capsys, decimal_always, decimal_calls, letter, fmt):
     for count in (1, 2, 3, 40):
         code, out, err = run_cli(capsys, "gen", letter, "--count", str(count), "--format", fmt)
         assert (code, err) == (0, "")
-        assert out == int_reference(letter, int_digits(sequence_prefix(letter, count)), fmt)
+        assert out == int_reference(letter, prefix_digits(letter, count), fmt)
     assert decimal_calls == [1, 2, 3, 40]
 
 
@@ -476,15 +525,16 @@ def b_digits_7520():
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_gen_decimal_output_past_the_int_str_digit_cap(capsys, decimal_calls, fmt):
+def test_gen_decimal_output_past_the_int_str_digit_cap(capsys, decimal_calls, decimal_checks, fmt):
     # The last terms of b pass 4300 digits; a request this large prints
     # through Decimal by default.
     cap = _digit_cap()
     code, out, err = run_cli(capsys, "gen", "b", "--count", "7520", "--format", fmt)
     assert (code, err) == (0, "")
-    # One Decimal run, from the first block that ends past DECIMAL_FROM_BITS.
-    [decimal_terms] = decimal_calls
-    switch = 7520 - decimal_terms
+    # One Decimal stream, drawn past the terms before the switch and then
+    # printed from the first block that ends past DECIMAL_FROM_BITS.
+    assert decimal_calls == [7520]
+    switch = 7520 - sum(decimal_checks)
     assert 0 < switch < 7520 - 6000
     assert eval_iterative(B_SPEC, switch - 1).bit_length() <= cli.DECIMAL_FROM_BITS
     assert eval_iterative(B_SPEC, switch + cli.BLOCK - 1).bit_length() > cli.DECIMAL_FROM_BITS
@@ -517,63 +567,87 @@ def test_gen_custom_zero_crossing_by_hand(capsys, decimal_always):
     assert out == "-3 -1 0 2 9\n"
 
 
-def test_gen_ignores_the_callers_decimal_context(capsys, decimal_always):
-    expected = int_reference("v", int_digits(sequence_prefix("v", 300)), "csv")
-    with decimal.localcontext() as caller:
-        decimal.getcontext().prec = 5
-        caller.rounding = decimal.ROUND_FLOOR
-        code, out, err = run_cli(capsys, "gen", "v", "--count", "300", "--format", "csv")
-        assert decimal.getcontext().prec == 5
-    assert (code, err) == (0, "")
-    assert out == expected
+def test_gen_ignores_the_callers_decimal_context(capsys, monkeypatch, decimal_checks):
+    # Switching at block 0, and after blocks of 16 terms once they pass 200
+    # bits, so that the skipped Decimal steps, of up to 60 digits for v,
+    # must run exactly too.
+    for seq, bits, block in [("v", -1, cli.BLOCK), ("v", 200, 16), ("z", 200, 16)]:
+        monkeypatch.setattr("triavg.cli.DECIMAL_FROM_BITS", bits)
+        monkeypatch.setattr("triavg.cli.BLOCK", block)
+        decimal_checks.clear()
+        expected = int_reference(seq, prefix_digits(seq, 300), "csv")
+        with decimal.localcontext() as caller:
+            decimal.getcontext().prec = 5
+            caller.rounding = decimal.ROUND_FLOOR
+            code, out, err = run_cli(capsys, "gen", seq, "--count", "300", "--format", "csv")
+            assert decimal.getcontext().prec == 5
+        assert (code, err) == (0, "")
+        assert out == expected
+        switch = 300 - sum(decimal_checks)
+        assert (switch == 0) if bits < 0 else (0 < switch < 300)
 
 
-def corrupt_decimal_runs(monkeypatch, shifts):
-    """Add shifts[i] to the i-th term of each Decimal run gen makes."""
-    real = cli._decimal_run
+def corrupt_decimal_streams(monkeypatch, shifts):
+    """Add shifts[n] to term n of each Decimal stream gen draws."""
 
-    def corrupted(*seed):
-        for index, term in enumerate(real(*seed)):
-            yield term + shifts.get(index, 0)
+    def corrupted(stream):
+        for n, term in enumerate(stream):
+            yield term + shifts.get(n, 0)
 
-    monkeypatch.setattr("triavg.cli._decimal_run", corrupted)
+    wrap_decimal_streams(monkeypatch, corrupted)
 
 
-@pytest.mark.parametrize(
-    "shifts",
-    [{0: 1}, {20: -1}, {39: 10**40}, {3: 1, 17: -1}, {0: -(10**30), 39: 10**30}],
-    ids=["first", "middle", "last-large", "pair", "pair-large"],
+def corruption_cases(shapes):
+    """Each shape of shifts for a, under its own id, and for z, under z-<id>."""
+    return pytest.mark.parametrize(
+        "seq, shifts",
+        [(seq, shifts) for seq in "az" for shifts in shapes.values()],
+        ids=[*shapes, *(f"z-{name}" for name in shapes)],
+    )
+
+
+@corruption_cases(
+    {
+        "first": {0: 1},
+        "middle": {20: -1},
+        "last-large": {39: 10**40},
+        "pair": {3: 1, 17: -1},
+        "pair-large": {0: -(10**30), 39: 10**30},
+    }
 )
-def test_gen_rejects_corrupted_decimal_terms(tmp_path, capsys, monkeypatch, decimal_always, shifts):
+def test_gen_rejects_corrupted_decimal_terms(tmp_path, capsys, monkeypatch, decimal_always, seq, shifts):
     # One term off, or two off by +d and -d so that their sum is unchanged.
     # All 40 terms are one check block, so nothing at all is written.
-    corrupt_decimal_runs(monkeypatch, shifts)
-    code, out, err = run_cli(capsys, "gen", "a", "--count", "40", "--format", "bfile")
+    corrupt_decimal_streams(monkeypatch, shifts)
+    code, out, err = run_cli(capsys, "gen", seq, "--count", "40", "--format", "bfile")
     assert code == 1
     assert out == ""
     assert "verification error" in err
-    target = tmp_path / "a.bfile"
-    code, out, err = run_cli(capsys, "gen", "a", "--count", "40", "--format", "bfile", "--out", str(target))
+    target = tmp_path / "out.bfile"
+    code, out, err = run_cli(capsys, "gen", seq, "--count", "40", "--format", "bfile", "--out", str(target))
     assert code == 1
     assert out == ""
     assert "verification error" in err
     assert target.read_text() == ""
 
 
-@pytest.mark.parametrize(
-    "shifts",
-    [{29: 1}, {25: 10**30}, {22: 1, 33: -1}, {38: -7, 39: 7}],
-    ids=["one", "large", "pair-split", "pair-last"],
+@corruption_cases(
+    {
+        "one": {29: 1},
+        "large": {25: 10**30},
+        "pair-split": {22: 1, 33: -1},
+        "pair-last": {38: -7, 39: 7},
+    }
 )
-def test_gen_stops_before_a_corrupted_block_past_the_first(tmp_path, capsys, monkeypatch, decimal_always, shifts):
+def test_gen_stops_before_a_corrupted_block_past_the_first(tmp_path, capsys, monkeypatch, decimal_always, seq, shifts):
     # Small blocks: rows of the blocks that passed go out before the bad
     # block is reached, and no row from the bad block on does. A +d/-d pair
     # split across blocks moves the first block's sum.
     monkeypatch.setattr("triavg.cli.BLOCK", 4)
     monkeypatch.setattr("triavg.cli.PIECE_CHARS", 16)
-    corrupt_decimal_runs(monkeypatch, shifts)
-    reference = int_reference("a", int_digits(sequence_prefix("a", 40)), "bfile").splitlines()
-    code, out, err = run_cli(capsys, "gen", "a", "--count", "40", "--format", "bfile")
+    corrupt_decimal_streams(monkeypatch, shifts)
+    reference = int_reference(seq, prefix_digits(seq, 40), "bfile").splitlines()
+    code, out, err = run_cli(capsys, "gen", seq, "--count", "40", "--format", "bfile")
     assert code == 1
     assert "verification error" in err
     first, last = map(int, err.split("Decimal terms ")[1].split()[0].split(".."))
@@ -581,23 +655,48 @@ def test_gen_stops_before_a_corrupted_block_past_the_first(tmp_path, capsys, mon
     printed = out.split("\n")
     assert 1 < len(printed) <= 1 + first
     assert printed == reference[: len(printed)]
-    target = tmp_path / "a.bfile"
-    code, out, err = run_cli(capsys, "gen", "a", "--count", "40", "--format", "bfile", "--out", str(target))
+    target = tmp_path / "out.bfile"
+    code, out, err = run_cli(capsys, "gen", seq, "--count", "40", "--format", "bfile", "--out", str(target))
     assert (code, out) == (1, "")
     assert "verification error" in err
     assert target.read_text() == ""
 
 
-def z_digits(count):
-    return int_digits(itertools.islice(numerators(), count))
+def test_gen_z_past_the_int_str_digit_cap(capsys, decimal_checks):
+    # The last terms of z pass 4300 digits. int->str runs only on sampled
+    # rows, since over every term it is the cost that Decimal output saves;
+    # the fingerprint covers every row.
+    count = 15200
+    cap = _digit_cap()
+    code, out, err = run_cli(capsys, "gen", "z", "--count", str(count), "--format", "bfile")
+    assert (code, err) == (0, "")
+    assert _digit_cap() == cap
+    switch = count - sum(decimal_checks)
+    assert 0 < switch < count
+    head, *rows = out.splitlines()
+    assert head == "# z offset 0"
+    assert len(rows) == count
+    sampled = {0, switch - 1, switch, count - 1}
+    samples = {n: z for n, z in enumerate(itertools.islice(numerators(), count)) if n in sampled}
+    with _unlimited_int_digits():
+        assert len(str(samples[count - 1])) > 4300
+        assert samples[switch - 1].bit_length() <= cli.DECIMAL_FROM_BITS
+        for n, z in samples.items():
+            assert rows[n] == f"{n} {z}"
+    assert [int(row.split(" ")[0]) for row in rows] == list(range(count))
+    parsed = (Decimal(row.split(" ")[1]) for row in rows)
+    with decimal.localcontext(cli.EXACT_DECIMAL):
+        assert cli._fingerprint(parsed) == cli._fingerprint(itertools.islice(numerators(), count))
 
 
 # (DECIMAL_FROM_BITS, name, args, the reference's digits for a count)
 PIECE_CASES = [
-    (cli.DECIMAL_FROM_BITS, "v", ["v"], lambda count: int_digits(sequence_prefix("v", count))),
-    (-1, "b", ["b"], lambda count: int_digits(sequence_prefix("b", count))),
-    (20, "a", ["a"], lambda count: int_digits(sequence_prefix("a", count))),
-    (cli.DECIMAL_FROM_BITS, "z", ["z"], z_digits),
+    (cli.DECIMAL_FROM_BITS, "v", ["v"], functools.partial(prefix_digits, "v")),
+    (-1, "b", ["b"], functools.partial(prefix_digits, "b")),
+    (20, "a", ["a"], functools.partial(prefix_digits, "a")),
+    (cli.DECIMAL_FROM_BITS, "z", ["z"], functools.partial(prefix_digits, "z")),
+    (20, "z", ["z"], functools.partial(prefix_digits, "z")),
+    (-1, "z", ["z"], functools.partial(prefix_digits, "z")),
     (
         20,
         "custom(k=-5,w0=7,w1=-2)",
@@ -612,8 +711,9 @@ PIECE_CASES = [
 def test_gen_output_is_whole_at_piece_boundaries(capsys, monkeypatch, fmt, block, piece_chars):
     # Tiny blocks put boundaries among the first rows. Each block is written
     # as one piece and the tail as one more, so the counts below start, end
-    # and cross pieces. a and the custom spec switch to Decimal after a few
-    # blocks, b at once, and v and z never do.
+    # and cross pieces. a, the custom spec and z at 20 bits switch to
+    # Decimal after a few blocks, b and z at -1 at once, and v and z at the
+    # default never do.
     monkeypatch.setattr("triavg.cli.BLOCK", block)
     monkeypatch.setattr("triavg.cli.PIECE_CHARS", piece_chars)
     real_emit, real_blocks = cli._emit, cli._digit_blocks
@@ -623,8 +723,8 @@ def test_gen_output_is_whole_at_piece_boundaries(capsys, monkeypatch, fmt, block
         pieces.append(text)
         real_emit(text, out)
 
-    def counting_blocks(values, spec):
-        for digits in real_blocks(values, spec):
+    def counting_blocks(stream, count):
+        for digits in real_blocks(stream, count):
             blocks.append(digits)
             yield digits
 
