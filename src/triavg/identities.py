@@ -9,10 +9,13 @@ continued-fraction ladder, which shares nothing with u. Each of a, b, u, v
 and L is squared once per index, from its own term, and every suite reads
 that one square; L_n * L_{n+1} is taken from the L stream too. One
 generator (_stream) carries each of these streams: it yields each term
-with the term before, its square and its product with the term before.
-From the index after a term longer than SQUARE_FROM_BITS (n of about 527
-here) on, both products are carried from the index before in time linear
-in the digits, instead of a big multiplication per index. Each check
+with the term before, its square and its product with the term before,
+which is multiplied only where a suite reads it (L alone) or the next
+index carries from it. From the index after a term longer than
+SQUARE_FROM_BITS (n of about 527 here) on, both products are carried from
+the index before in time linear in the digits, instead of a big
+multiplication per index, and a carried step leaves out the terms that
+are 0 at that step, as they are at every step of u, v and L. Each check
 evaluates both sides of an identity from independently computed sequences
 (never the same value against itself), and mismatches are reported
 instead of raised, so a report is useful for diffing when something
@@ -83,23 +86,26 @@ def _pairs(values: Iterator[int]) -> Iterator[tuple[int, int]]:
     return zip(values, values)
 
 
-def _stream(xs: Iterable[int], squared: bool) -> Iterator[tuple[int | None, int, int | None, int | None]]:
+def _stream(xs: Iterable[int], squared: bool, crossed: bool) -> Iterator[tuple[int | None, int, int | None, int | None]]:
     """(x_{n-1}, x_n, x_n^2, x_n * x_{n-1}) of an int stream at n = 0, 1, ...
 
     x_{-1} is None, and so is x_0 * x_{-1}; both products are None at every
     n unless squared. They are multiplied at n = 0 and after a term of at
-    most SQUARE_FROM_BITS bits. After a longer term they are carried from
-    the values in hand, x_{n-1}, x_{n-2}, their squares and their product,
-    whether the step before multiplied or carried them. With
-    c = x_n - 4*x_{n-1} + x_{n-2}:
+    most SQUARE_FROM_BITS bits, the cross product only if crossed or if x_n
+    is longer, for the next step to carry from; else it is None. After a
+    longer term both are carried from the values in hand, x_{n-1}, x_{n-2},
+    their squares and their product, whether the step before multiplied or
+    carried them. With c = x_n - 4*x_{n-1} + x_{n-2}:
 
         x_n * x_{n-1} = 4*x_{n-1}^2 - x_{n-1}*x_{n-2} + c*x_{n-1},
         x_n^2 = 4*(x_n*x_{n-1} - x_{n-1}*x_{n-2}) + x_{n-2}^2 + c*(x_n - x_{n-2}).
 
     These are polynomial identities, so every value is exact for any ints
-    (x_{-1} counts as 0). On a stream with w_n = 4*w_{n-1} - w_{n-2} + k, c
-    is k, and a step takes additions and small-by-big products only, in time
-    linear in the digits; on any other stream a step pays two big products.
+    (x_{-1} counts as 0). c is worked out from the values at every carried
+    step, and the c terms are left out when it is 0. On a stream with
+    w_n = 4*w_{n-1} - w_{n-2} + k, c is k, and a step takes additions and
+    small-by-big products only, in time linear in the digits; on any other
+    stream a step pays two big products.
     """
     if not squared:
         for before, x in pairwise(chain([None], xs)):
@@ -116,11 +122,15 @@ def _stream(xs: Iterable[int], squared: bool) -> Iterator[tuple[int | None, int,
     for x in xs:
         if sq < long:
             before, last, sq_before = last, x, sq
-            sq, cross = x * x, x * before
+            sq = x * x
+            cross = x * before if crossed or sq >= long else None
         else:
             c = x - 4 * last + before
-            step = 4 * sq - cross + c * last
-            sq_before, sq = sq, 4 * (step - cross) + sq_before + c * (x - before)
+            step, rest = 4 * sq - cross, sq_before
+            if c:
+                step += c * last
+                rest += c * (x - before)
+            sq_before, sq = sq, 4 * (step - cross) + rest
             before, last, cross = last, x, step
         yield before, x, sq, cross
 
@@ -128,8 +138,9 @@ def _stream(xs: Iterable[int], squared: bool) -> Iterator[tuple[int | None, int,
 def _windows(reads: set[str]) -> Iterator[Window]:
     """The windows at n = 0, 1, 2, ...
 
-    A stream moves only if a term drawn from it is read, and its _stream
-    takes the square and the cross product only if one of them is read.
+    A stream moves only if a term drawn from it is read. Its _stream takes
+    the square only if the square or the cross product is read, and
+    multiplies the cross product only if that is read.
     L_cross is the cross product of the L stream's next item, L_{n+1} * L_n,
     so that stream is read in overlapping pairs of items.
     """
@@ -137,7 +148,8 @@ def _windows(reads: set[str]) -> Iterator[Window]:
     def stream(x: str) -> Iterator[tuple]:
         if reads.isdisjoint((x, f"{x}_sq", f"{x}_prev", f"{x}_cross")):
             return repeat((None,) * 4)
-        return _stream(terms(x), not reads.isdisjoint((f"{x}_sq", f"{x}_cross")))
+        crossed = f"{x}_cross" in reads
+        return _stream(terms(x), crossed or f"{x}_sq" in reads, crossed)
 
     rows = zip(
         stream("a"),
@@ -261,9 +273,10 @@ def run_all(max_n: int, names: Iterable[str] = SUITES) -> list[IdentityReport]:
     suites = [(name, *SUITES[name], []) for name in names]
     reads = set().union(*(suite_reads for _, _, suite_reads, _, _ in suites))
     for w in islice(_windows(reads), max_n + 1):
+        n = w.n
         for _, first, _, check, failures in suites:
-            if w.n >= first:
+            if n >= first:
                 for lhs, rhs in check(w):
                     if lhs != rhs:
-                        failures.append((w.n, lhs, rhs))
+                        failures.append((n, lhs, rhs))
     return [IdentityReport(name, (first, max_n), failures) for name, first, _, _, failures in suites]

@@ -78,13 +78,18 @@ def terms(seq: SequenceId) -> Iterator[int]:
     """w_0, w_1, w_2, ... for a named or custom sequence, by iteration, without end.
 
     It runs on any number type closed under its step, as ``gen`` runs a spec
-    whose seeds are Decimal.
+    whose seeds are Decimal. When k is zero, as for u, v, L and F, the step
+    leaves out the + k.
     """
     k, prev, cur = resolve_spec(seq)
     yield prev
+    if k:
+        while True:
+            yield cur
+            prev, cur = cur, 4 * cur - prev + k
     while True:
         yield cur
-        prev, cur = cur, 4 * cur - prev + k
+        prev, cur = cur, 4 * cur - prev
 
 
 def eval_iterative(spec: RecurrenceSpec, n: int) -> int:

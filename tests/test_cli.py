@@ -598,11 +598,14 @@ def corrupt_decimal_streams(monkeypatch, shifts):
 
 
 def corruption_cases(shapes):
-    """Each shape of shifts for a, under its own id, and for z, under z-<id>."""
+    """Each shape of shifts for a, under its own id, and for u and z, under u-<id> and z-<id>.
+
+    a steps with + k and u, whose k is 0, without it.
+    """
     return pytest.mark.parametrize(
         "seq, shifts",
-        [(seq, shifts) for seq in "az" for shifts in shapes.values()],
-        ids=[*shapes, *(f"z-{name}" for name in shapes)],
+        [(seq, shifts) for seq in "auz" for shifts in shapes.values()],
+        ids=[*shapes, *(f"{seq}-{name}" for seq in "uz" for name in shapes)],
     )
 
 

@@ -147,42 +147,73 @@ def test_each_suite_reads_exactly_the_terms_it_declares(name):
     assert seen - {"n"} == reads
 
 
+# What --suite all reads: every window term.
+ALL_READS = set().union(*(reads for _, reads, _ in SUITES.values()))
+
+
+def assert_squares_and_cross(windows):
+    for w, after in pairwise(windows):
+        assert [w.a_sq, w.b_sq, w.u_sq, w.v_sq, w.L_sq] == [w.a**2, w.b**2, w.u**2, w.v**2, w.L**2]
+        assert w.L_cross == w.L * after.L
+
+
 def test_each_square_is_squared_from_its_own_term(monkeypatch):
-    # Every stream is shifted by its own offset, so a square taken from
+    # Unshifted, u, v and L carry with c = 0 and a and b with c = k. Then
+    # every stream is shifted by its own offset, so a square taken from
     # another stream, or through an identity, no longer matches its term.
     # The windows run well past the index (about 527) where every stream's
     # terms pass SQUARE_FROM_BITS and its squares are carried.
+    assert ALL_READS == set(identities.Window._fields) - {"n"}
+    assert_squares_and_cross(islice(identities._windows(ALL_READS), 701))
     shifts = {"a": 1, "b": 2, "u": 3, "v": 5, "F": 7, "L": 11}
-    letters, squared, stream = {}, [], identities._stream
+    letters, squared, crossed, stream = {}, [], [], identities._stream
 
     def shifted(seq):
         xs = (term + shifts[seq] for term in terms(seq))
         letters[xs] = seq
         return xs
 
-    def counted(xs, is_squared):
+    def counted(xs, is_squared, is_crossed):
         if is_squared:
             squared.append(letters[xs])
-        return stream(xs, is_squared)
+        if is_crossed:
+            crossed.append(letters[xs])
+        return stream(xs, is_squared, is_crossed)
 
     monkeypatch.setattr(identities, "terms", shifted)
     monkeypatch.setattr(identities, "_stream", counted)
     list(islice(identities._windows(set(SUITES["bisection"][1])), 3))
     assert list(letters.values()) == ["u"] and not squared  # bisection reads u, but no square
-    windows = list(islice(identities._windows(set(identities.Window._fields)), 701))
+    windows = list(islice(identities._windows(ALL_READS), 701))
     assert sorted(squared) == sorted("abuvL")
+    assert crossed == ["L"]  # only lucas reads a cross product
     assert windows[-1].a.bit_length() > identities.SQUARE_FROM_BITS + 200
-    for w, after in pairwise(windows):
-        assert [w.a_sq, w.b_sq, w.u_sq, w.v_sq, w.L_sq] == [w.a**2, w.b**2, w.u**2, w.v**2, w.L**2]
-        assert w.L_cross == w.L * after.L
+    assert_squares_and_cross(windows)
+
+
+def stream_items(xs, bits, crossed):
+    """What _stream(xs, True, crossed) yields at SQUARE_FROM_BITS = bits, by plain multiplication.
+
+    Step n >= 1 is carried after a term of at least 2**bits in size. The
+    cross product is None at n = 0 and, for an uncrossed stream, at a
+    multiplied step unless the next step carries from it; else it is exact.
+    """
+    items = []
+    for n, x in enumerate(xs):
+        before = xs[n - 1] if n else None
+        carried = n and abs(before) >> bits
+        unread = not (crossed or carried or abs(x) >> bits)
+        items.append((before, x, x * x, None if n == 0 or unread else x * before))
+    return items
 
 
 # Any int, from 0 to far past SQUARE_FROM_BITS, of either sign.
 ANY_INT = st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40), st.integers(-(2**2200), 2**2200))
+CUTOFFS = st.sampled_from([0, 1, 64, identities.SQUARE_FROM_BITS])
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(ANY_INT, min_size=1, max_size=12), st.sampled_from([0, 1, 64, 1000]))
+@given(st.lists(ANY_INT, min_size=1, max_size=12), CUTOFFS)
 @example([5], 1000)  # one term
 @example([-3, 7], 0)  # two terms, carried from the second on
 @example([-(2**64), 2**65 - 1, 1], 64)  # past the cutoff from the first term
@@ -193,21 +224,60 @@ def test_a_carried_square_is_exact_for_any_stream(xs, bits):
     # as long, so the carry takes over from n = 1.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(identities, "SQUARE_FROM_BITS", bits)
-        items = list(identities._stream(iter(xs), True))
-        plain = list(identities._stream(iter(xs), False))
-    prevs = [None, *xs[:-1]]
-    assert items == [(p, x, x * x, None if p is None else x * p) for p, x in zip(prevs, xs)]
-    assert plain == [(p, x, None, None) for p, x in zip(prevs, xs)]
+        items = {crossed: list(identities._stream(iter(xs), True, crossed)) for crossed in (True, False)}
+        plain = list(identities._stream(iter(xs), False, False))
+    assert items == {crossed: stream_items(xs, bits, crossed) for crossed in (True, False)}
+    assert plain == [(p, x, None, None) for p, x in zip([None, *xs[:-1]], xs)]
+
+
+def homogeneous(prev, cur, count):
+    """The first count terms of x_n = 4*x_{n-1} - x_{n-2} from x_0 = prev and x_1 = cur."""
+    xs = []
+    for _ in range(count):
+        xs.append(prev)
+        prev, cur = cur, 4 * cur - prev
+    return xs
+
+
+@st.composite
+def homogeneous_runs(draw):
+    """A homogeneous run from random seeds, with a few terms perturbed.
+
+    A perturbed term puts c != 0 at its own index and the two after it;
+    every other step has c = 0.
+    """
+    xs = homogeneous(draw(ANY_INT), draw(ANY_INT), draw(st.integers(1, 60)))
+    for _ in range(draw(st.integers(0, 3))):
+        xs[draw(st.integers(0, len(xs) - 1))] += draw(ANY_INT)
+    return xs
+
+
+# F_530, F_529, ..., F_0, -F_1, ..., -F_59: past 1000 bits at first, the
+# terms fall below it and below 64 bits, cross 0 and grow again.
+FALLING = homogeneous(*sequence_prefix("F", 531)[:-3:-1], 590)
+
+
+@settings(max_examples=150, deadline=None)
+@given(homogeneous_runs(), CUTOFFS, st.booleans())
+@example([3, 9, 33, 123, 459], 0, False)  # v: c = 0 at every carried step
+@example(homogeneous(2**990, 2**990 + 1, 12), 1000, False)  # carried from x_8 on
+@example(FALLING, 1000, False)
+@example(FALLING, 64, True)
+def test_a_carried_square_is_exact_where_c_is_zero(xs, bits, crossed):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "SQUARE_FROM_BITS", bits)
+        items = list(identities._stream(iter(xs), True, crossed))
+    assert items == stream_items(xs, bits, crossed)
 
 
 def test_an_empty_stream_yields_nothing():
-    assert list(identities._stream([], True)) == list(identities._stream([], False)) == []
+    assert [list(identities._stream([], *flags)) for flags in [(True, True), (True, False), (False, False)]] == [[]] * 3
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     st.fixed_dictionaries({seq: st.lists(ANY_INT, min_size=1, max_size=10) for seq in "abuvL"}),
-    st.sampled_from([0, 1, 64, identities.SQUARE_FROM_BITS]),
+    CUTOFFS,
 )
 def test_window_squares_are_exact_for_any_streams(streams, bits):
     # Streams that follow no recurrence, with sign changes, huge jumps and

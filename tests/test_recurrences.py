@@ -1,3 +1,5 @@
+import decimal
+from decimal import Decimal
 from itertools import islice
 
 import pytest
@@ -76,6 +78,36 @@ def test_iterative_rejects_negative_index():
 def test_terms_stream_the_prefix():
     for seq in [*"abuvLF", RecurrenceSpec(k=-7, w0=3, w1=-2)]:
         assert list(islice(terms(seq), 40)) == sequence_prefix(seq, 40)
+
+
+def plain_terms(k, prev, cur, count):
+    """The first count terms of w_n = 4*w_{n-1} - w_{n-2} + k, k added at every step."""
+    out = []
+    for _ in range(count):
+        out.append(prev)
+        prev, cur = cur, 4 * cur - prev + k
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(st.just(0), st.integers(-(10**30), 10**30)),
+    st.integers(-(10**30), 10**30),
+    st.integers(-(10**30), 10**30),
+    st.integers(1, 80),
+)
+def test_terms_match_a_plain_loop_in_int_and_decimal(k, w0, w1, count):
+    # terms leaves the + k out when k is 0; both step forms must give the
+    # plain loop's terms, and in Decimal the same strings too.
+    assert list(islice(terms(RecurrenceSpec(k, w0, w1)), count)) == plain_terms(k, w0, w1, count)
+    with decimal.localcontext() as exact:
+        exact.prec = decimal.MAX_PREC
+        exact.traps[decimal.Inexact] = exact.traps[decimal.Rounded] = True
+        spec = RecurrenceSpec(*map(Decimal, (k, w0, w1)))
+        got = list(islice(terms(spec), count))
+        assert all(isinstance(term, Decimal) for term in got)
+        assert list(map(str, got)) == list(map(str, plain_terms(*spec, count)))
+        assert list(map(str, got)) == list(map(str, plain_terms(k, w0, w1, count)))
 
 
 def test_closed_form_examples():
