@@ -19,10 +19,10 @@ import sys
 from decimal import Decimal
 from typing import Callable, Iterable, Iterator, TextIO
 
-from .convergents import _ladder
+from .convergents import _cf_terms, _ladder
 from .identities import SUITES, IdentityReport, run_all
 from .recurrences import B_SPEC, RecurrenceSpec, resolve_spec, terms
-from .triangular import SIEVE_MODULI, enumerate_solutions, prefix_average, witness
+from .triangular import SIEVE_MODULI, enumerate_solutions, prefix_average, solve_s_for_r, witness
 
 PREFIX_WARN_THRESHOLD = 10**6
 
@@ -196,12 +196,11 @@ def _emit(text: str, out: TextIO | None) -> None:
 
 @contextlib.contextmanager
 def _unlimited_int_digits() -> Iterator[None]:
-    """Lift the int<->str digit cap (Python 3.10.7+) around formatting and parsing.
+    """Lift the int<->str digit cap (Python 3.10.7+) around formatting.
 
-    Terms past about 4300 digits are valid output, and a b-file holding them
-    must read back. The cap exists to bound the cost of parsing untrusted
-    text; formatting our own results, or reading back a b-file, is not that.
-    The previous cap is restored on exit.
+    Terms past about 4300 digits are valid output. The cap exists to bound
+    the cost of parsing untrusted text; formatting our own results is not
+    that. The previous cap is restored on exit.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
@@ -214,12 +213,17 @@ def _unlimited_int_digits() -> Iterator[None]:
         sys.set_int_max_str_digits(saved)
 
 
-def _gen_request(args: argparse.Namespace) -> tuple[str, Callable[[type], Iterator]]:
-    """The output name of a gen request and its stream.
+def _gen_request(
+    args: argparse.Namespace,
+) -> tuple[str, Callable[[type], Iterator], Callable[[], Iterator[int]]]:
+    """The output name of a gen request, its stream and its residue run.
 
     stream(num) is the sequence's own generator, terms() for a family spec
     and the convergent ladder for z, run from its seeds (and k) converted
-    by num: int for the reference terms, Decimal for the printed ones.
+    by num: int for the terms printed through int->str, Decimal for the
+    rest. residues() is the same generator's step taken mod
+    FINGERPRINT_MODULUS from the seeds reduced mod it, the reference that
+    each Decimal block is checked against.
     """
     custom_flags = [args.k, args.w0, args.w1]
     if args.seq == "custom":
@@ -230,7 +234,7 @@ def _gen_request(args: argparse.Namespace) -> tuple[str, Callable[[type], Iterat
     elif any(flag is not None for flag in custom_flags):
         raise UsageError("--k/--w0/--w1 are only valid with seq 'custom'")
     elif args.seq == "z":
-        return "z", lambda num: _ladder(num(0), num(1))
+        return "z", lambda num: _ladder(num(0), num(1)), lambda: _ladder_residues(0, 1)
     else:
         try:
             spec = resolve_spec(args.seq)
@@ -239,7 +243,27 @@ def _gen_request(args: argparse.Namespace) -> tuple[str, Callable[[type], Iterat
                 f"unknown sequence {args.seq!r}; expected a, b, u, v, L, F, z or custom"
             )
         name = next(letter for letter in "abuvLF" if resolve_spec(letter) == spec)
-    return name, lambda num: terms(RecurrenceSpec(*map(num, spec)))
+    return name, lambda num: terms(RecurrenceSpec(*map(num, spec))), lambda: _family_residues(spec)
+
+
+def _family_residues(spec: RecurrenceSpec) -> Iterator[int]:
+    """terms(spec) mod FINGERPRINT_MODULUS: w_0, w_1, ..., each in [0, M), without end."""
+    m = FINGERPRINT_MODULUS
+    k, prev, cur = (x % m for x in spec)
+    yield prev
+    while True:
+        yield cur
+        prev, cur = cur, (4 * cur - prev + k) % m
+
+
+def _ladder_residues(before: int, first: int) -> Iterator[int]:
+    """_ladder(before, first) mod FINGERPRINT_MODULUS, on the same partial quotients in the same phase."""
+    m = FINGERPRINT_MODULUS
+    prev, cur = before % m, first % m
+    yield cur
+    for t in _cf_terms():
+        prev, cur = cur, (t * cur + prev) % m
+        yield cur
 
 
 def _fingerprint(terms: Iterable[int] | Iterable[Decimal]) -> tuple[int, int]:
@@ -247,7 +271,9 @@ def _fingerprint(terms: Iterable[int] | Iterable[Decimal]) -> tuple[int, int]:
 
     A term off by d, not a multiple of the modulus, moves the first; two
     terms off by d and -d cancel there but move the second by d times their
-    distance. Decimal terms must be summed under EXACT_DECIMAL.
+    distance. Reduction mod 2^61 - 1 commutes with + and *, so terms given
+    as residues have the fingerprint of the terms themselves. Decimal terms
+    must be summed under EXACT_DECIMAL.
     """
     running = 0
     for total in itertools.accumulate(terms):
@@ -257,37 +283,43 @@ def _fingerprint(terms: Iterable[int] | Iterable[Decimal]) -> tuple[int, int]:
     return int(total % m) % m, int(running % m) % m
 
 
-def _digit_blocks(stream: Callable[[type], Iterator], count: int) -> Iterator[list[str]]:
+def _digit_blocks(
+    stream: Callable[[type], Iterator], residues: Callable[[], Iterator[int]], count: int
+) -> Iterator[list[str]]:
     """The decimal strings of the first count terms of stream, one checked block at a time.
 
-    The int terms, stream(int), are drawn in blocks of up to BLOCK, fewer as
-    the strings grow, so that a block holds about PIECE_CHARS characters of
-    digits. Blocks print through int->str until the first one that ends
-    past DECIMAL_FROM_BITS. From that block on, the int terms stay the
-    reference and the strings are str() of stream(Decimal), run from the
-    seeds in exact Decimal and drawn past the terms already printed: linear
-    in the digits, where CPython's int->str is quadratic. Each Decimal block
-    must agree with its int block on _fingerprint before any of its strings
-    is yielded, or ArithmeticError is raised.
+    The terms are drawn in blocks of up to BLOCK, fewer as the strings grow,
+    so that a block holds about PIECE_CHARS characters of digits. Blocks
+    come from stream(int) and print through int->str until the first one
+    that ends past DECIMAL_FROM_BITS, the switch block. The int stream is
+    drawn no further. From the switch block on, the strings are str() of
+    stream(Decimal), run from the seeds in exact Decimal and drawn past the
+    terms already printed: linear in the digits, where CPython's int->str
+    is quadratic. Each Decimal block must agree on _fingerprint with the
+    block of residues() for the same indices before any of its strings is
+    yielded, or ArithmeticError is raised.
     """
-    values = itertools.islice(stream(int), count)
+    ints = itertools.islice(stream(int), count)
     decimals = None
     start, n = 0, BLOCK
-    while block := list(itertools.islice(values, n)):
-        if decimals is None and block[-1].bit_length() > DECIMAL_FROM_BITS:
-            decimals = itertools.islice(stream(Decimal), start, None)
+    while True:
         if decimals is None:
-            digits = list(map(str, block))
-        else:
+            block = list(itertools.islice(ints, n))
+            if block and block[-1].bit_length() > DECIMAL_FROM_BITS:
+                decimals = itertools.islice(stream(Decimal), start, count)
+                expected = itertools.islice(residues(), start, None)
+        if decimals is not None:
             # The first draw also runs the skipped steps, all under EXACT_DECIMAL.
             with decimal.localcontext(EXACT_DECIMAL):
-                run = list(itertools.islice(decimals, len(block)))
-                if _fingerprint(run) != _fingerprint(block):
+                block = list(itertools.islice(decimals, n))
+                if block and _fingerprint(block) != _fingerprint(itertools.islice(expected, len(block))):
                     raise ArithmeticError(
                         f"the Decimal terms {start}..{start + len(block) - 1} "
-                        "disagree with the int terms"
+                        "disagree with their residues mod 2^61 - 1"
                     )
-            digits = list(map(str, run))
+        if not block:
+            return
+        digits = list(map(str, block))
         yield digits
         start += len(block)
         n = min(BLOCK, PIECE_CHARS // len(digits[-1]) + 1)
@@ -327,33 +359,18 @@ def _format_terms(name: str, blocks: Iterable[list[str]], fmt: str) -> Iterator[
     yield tail
 
 
-def parse_bfile(text: str) -> list[tuple[int, int]]:
-    """Read (index, value) pairs back out of b-file text, skipping comments.
-
-    Values of any length parse, so every b-file that ``gen`` writes reads back.
-    """
-    pairs = []
-    with _unlimited_int_digits():
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            index_text, value_text = line.split(" ")
-            pairs.append((int(index_text), int(value_text)))
-    return pairs
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     """Print the first --count terms of a sequence.
 
     Every sequence, z included, takes the same path: the digit strings of
-    its stream come one checked block at a time from _digit_blocks, through
-    int->str or, past DECIMAL_FROM_BITS, through Decimal. Each block's text
-    is written as one piece of _format_terms, so memory is one block and
-    its text, whatever the count. A block that fails its check raises
-    ArithmeticError before any of its rows is written.
+    its stream come one block at a time from _digit_blocks, through int->str
+    or, past DECIMAL_FROM_BITS, through Decimal checked against the
+    request's residue run. Each block's text is written as one piece of
+    _format_terms, so memory is one block and its text, whatever the count.
+    A block that fails its check raises ArithmeticError before any of its
+    rows is written.
     """
-    name, stream = _gen_request(args)
+    name, stream, residues = _gen_request(args)
     with _open_out(args.out) as out, _unlimited_int_digits():
         if args.count > PREFIX_WARN_THRESHOLD:
             print(
@@ -361,7 +378,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
                 "and the output will be large",
                 file=sys.stderr,
             )
-        for piece in _format_terms(name, _digit_blocks(stream, args.count), args.format):
+        for piece in _format_terms(name, _digit_blocks(stream, residues, args.count), args.format):
             _emit(piece, out)
     return 0
 
@@ -409,6 +426,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         lines = ["# s r average match"]
         clean = True
         for s, r in pairs:
+            # The scan solved for r; solving r back for s checks the other direction.
+            back = solve_s_for_r(r)
+            if back != s:
+                raise ArithmeticError(f"the scan paired s = {s} with r = {r}, but r inverts to s = {back}")
             avg = prefix_average(s)
             if avg.denominator != 1:
                 lines.append(f"{s} {r} {avg} NON-INTEGRAL")

@@ -10,9 +10,12 @@ import tracemalloc
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import triavg.cli as cli
-from triavg.cli import PREFIX_WARN_THRESHOLD, _unlimited_int_digits, main, parse_bfile
+import triavg.convergents as convergents
+from triavg.cli import PREFIX_WARN_THRESHOLD, _unlimited_int_digits, main
 from triavg.convergents import numerators
 from triavg.exactnum import QuadElem
 from triavg.recurrences import A_SPEC, B_SPEC, RecurrenceSpec, eval_iterative, sequence_prefix
@@ -24,6 +27,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def parse_bfile(text):
+    """Read (index, value) pairs back out of b-file text, skipping comments.
+
+    Values of any length parse, so every b-file that gen writes reads back.
+    """
+    pairs = []
+    with _unlimited_int_digits():
+        for line in text.splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            index_text, value_text = line.split(" ")
+            pairs.append((int(index_text), int(value_text)))
+    return pairs
 
 
 def test_gen_plain(capsys):
@@ -279,6 +298,25 @@ def test_solve_fails_when_iteration_and_closed_form_disagree_on_b(tmp_path, caps
     assert target.read_text() == ""
 
 
+def test_solve_inverts_each_hit_and_fails_when_one_disagrees(tmp_path, capsys, monkeypatch):
+    real_invert = cli.solve_s_for_r
+    inverted = []
+
+    def recording_invert(r):
+        inverted.append(r)
+        return real_invert(r)
+
+    monkeypatch.setattr("triavg.cli.solve_s_for_r", recording_invert)
+    assert run_cli(capsys, "solve", "--max-s", "500")[0] == 0
+    assert inverted == [1, 5, 20, 76, 285]
+    monkeypatch.setattr("triavg.cli.solve_s_for_r", lambda r: real_invert(r) + (r == 20))
+    message = "verification error: the scan paired s = 34 with r = 20, but r inverts to s = 35\n"
+    assert run_cli(capsys, "solve", "--max-s", "500") == (1, "", message)
+    target = tmp_path / "solve.txt"
+    assert run_cli(capsys, "solve", "--max-s", "500", "--out", str(target)) == (1, "", message)
+    assert target.read_text() == ""
+
+
 def test_witness_output(capsys):
     code, out, _ = run_cli(capsys, "witness", "2")
     assert code == 0
@@ -458,21 +496,36 @@ def decimal_always(monkeypatch):
     monkeypatch.setattr("triavg.cli.DECIMAL_FROM_BITS", -1)
 
 
-def wrap_decimal_streams(monkeypatch, wrap):
-    """Pass each Decimal stream that gen draws through wrap; int streams stay as they are."""
+def wrap_gen_requests(monkeypatch, wrap):
+    """Pass the (name, stream, residues) of each gen request through wrap."""
     real = cli._gen_request
-
-    def wrapped(args):
-        name, stream = real(args)
-        return name, lambda num: wrap(stream(num)) if num is Decimal else stream(num)
-
-    monkeypatch.setattr("triavg.cli._gen_request", wrapped)
+    monkeypatch.setattr("triavg.cli._gen_request", lambda args: wrap(*real(args)))
 
 
-@pytest.fixture
-def decimal_calls(monkeypatch):
-    """How many terms each of gen's Decimal streams was drawn for, skipped ones included."""
-    calls = []
+def wrap_streams(monkeypatch, kind, wrap):
+    """Pass each stream of this kind (int or Decimal) that gen draws through wrap; the rest stay as they are."""
+    wrap_gen_requests(
+        monkeypatch,
+        lambda name, stream, residues: (
+            name,
+            lambda num: wrap(stream(num)) if num is kind else stream(num),
+            residues,
+        ),
+    )
+
+
+def wrap_decimal_streams(monkeypatch, wrap):
+    """Pass each Decimal stream that gen draws through wrap; int streams and residue runs stay as they are."""
+    wrap_streams(monkeypatch, Decimal, wrap)
+
+
+def wrap_residue_runs(monkeypatch, wrap):
+    """Pass each residue run that gen draws through wrap; its streams stay as they are."""
+    wrap_gen_requests(monkeypatch, lambda name, stream, residues: (name, stream, lambda: wrap(residues())))
+
+
+def recorder(calls):
+    """A wrap that appends to calls how many terms each stream it wraps was drawn for."""
 
     def recording(stream):
         calls.append(0)
@@ -480,7 +533,30 @@ def decimal_calls(monkeypatch):
             calls[-1] += 1
             yield term
 
-    wrap_decimal_streams(monkeypatch, recording)
+    return recording
+
+
+@pytest.fixture
+def decimal_calls(monkeypatch):
+    """How many terms each of gen's Decimal streams was drawn for, skipped ones included."""
+    calls = []
+    wrap_decimal_streams(monkeypatch, recorder(calls))
+    return calls
+
+
+@pytest.fixture
+def int_calls(monkeypatch):
+    """How many terms each of gen's int streams was drawn for."""
+    calls = []
+    wrap_streams(monkeypatch, int, recorder(calls))
+    return calls
+
+
+@pytest.fixture
+def residue_calls(monkeypatch):
+    """How many terms each of gen's residue runs was drawn for, skipped ones included."""
+    calls = []
+    wrap_residue_runs(monkeypatch, recorder(calls))
     return calls
 
 
@@ -511,12 +587,13 @@ def test_gen_decimal_output_matches_int_output(capsys, decimal_always, decimal_c
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_gen_small_requests_stay_on_int_formatting(capsys, decimal_calls, fmt):
+def test_gen_small_requests_stay_on_int_formatting(capsys, decimal_calls, residue_calls, fmt):
     # A 512-term request ends below DECIMAL_FROM_BITS, where int->str is cheaper.
     code, out, _ = run_cli(capsys, "gen", "v", "--count", "512", "--format", fmt)
     assert code == 0
     assert out == int_reference("v", int_digits(sequence_prefix("v", 512)), fmt)
     assert decimal_calls == []
+    assert residue_calls == []
 
 
 @functools.cache
@@ -540,6 +617,18 @@ def test_gen_decimal_output_past_the_int_str_digit_cap(capsys, decimal_calls, de
     assert eval_iterative(B_SPEC, switch + cli.BLOCK - 1).bit_length() > cli.DECIMAL_FROM_BITS
     assert _digit_cap() == cap
     assert out == int_reference("b", b_digits_7520(), fmt)
+
+
+def test_gen_draws_the_int_stream_no_further_than_the_switch_block(capsys, int_calls, residue_calls, decimal_checks):
+    # Past the switch the Decimal blocks are checked against the residue
+    # run, so the full-size int terms after the switch block are never made.
+    code, out, err = run_cli(capsys, "gen", "b", "--count", "7000", "--format", "bfile")
+    assert (code, err) == (0, "")
+    switch = 7000 - sum(decimal_checks)
+    assert 0 < switch < 7000 - 6000
+    assert int_calls == [switch + decimal_checks[0]]
+    assert residue_calls == [7000]
+    assert out == int_reference("b", b_digits_7520()[:7000], "bfile")
 
 
 def test_gen_custom_specs_with_negative_terms_and_zeros(capsys, decimal_always):
@@ -665,6 +754,79 @@ def test_gen_stops_before_a_corrupted_block_past_the_first(tmp_path, capsys, mon
     assert target.read_text() == ""
 
 
+def gen_args(*argv):
+    """gen's parsed arguments for a sequence and its flags, with a count of 1."""
+    return cli._parser().parse_args(["gen", *argv, "--count", "1"])
+
+
+BIG = st.integers(-(2**70), 2**70)
+GEN_REQUESTS = st.one_of(
+    st.sampled_from("abuvLFz").map(gen_args),
+    st.builds(
+        lambda k, w0, w1: gen_args("custom", "--k", str(k), "--w0", str(w0), "--w1", str(w1)),
+        BIG, BIG, BIG,
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(GEN_REQUESTS)
+def test_residue_run_is_the_int_stream_mod_the_fingerprint_modulus(args):
+    _, stream, residues = cli._gen_request(args)
+    m = cli.FINGERPRINT_MODULUS
+    assert list(itertools.islice(residues(), 400)) == [x % m for x in itertools.islice(stream(int), 400)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(GEN_REQUESTS, st.integers(0, 399), st.integers(1, 400))
+def test_residue_slices_have_the_int_slices_fingerprint(args, start, length):
+    _, stream, residues = cli._gen_request(args)
+    stop = min(start + length, 400)
+    assert cli._fingerprint(itertools.islice(residues(), start, stop)) == cli._fingerprint(
+        itertools.islice(stream(int), start, stop)
+    )
+
+
+def one_step_late(monkeypatch):
+    wrap_residue_runs(monkeypatch, lambda run: itertools.islice(run, 1, None))
+
+
+def quotients_out_of_phase(monkeypatch):
+    # 1, 2, 1, 2, ... where the ladder takes 1, 1, 2, 1, 2, ...
+    monkeypatch.setattr("triavg.cli._cf_terms", lambda: itertools.islice(convergents._cf_terms(), 1, None))
+
+
+@pytest.mark.parametrize(
+    "argv, count, fault",
+    [
+        (["a"], 1200, one_step_late),
+        (["u"], 1200, one_step_late),
+        (["custom", "--k", "-7", "--w0", "5", "--w1", "-3"], 1200, one_step_late),
+        (["z"], 2400, one_step_late),
+        (["z"], 2400, quotients_out_of_phase),
+    ],
+    ids=["a-late", "u-late", "custom-late", "z-late", "z-phase"],
+)
+def test_gen_rejects_a_wrong_residue_run(tmp_path, capsys, monkeypatch, decimal_checks, argv, count, fault):
+    # The int blocks before the switch print as usual; the first Decimal
+    # block fails its check, so none of its rows is written.
+    code, reference, err = run_cli(capsys, "gen", *argv, "--count", str(count), "--format", "bfile")
+    assert (code, err) == (0, "")
+    switch = count - sum(decimal_checks)
+    assert 0 < switch < count
+    fault(monkeypatch)
+    code, out, err = run_cli(capsys, "gen", *argv, "--count", str(count), "--format", "bfile")
+    assert code == 1
+    assert err.startswith(f"verification error: the Decimal terms {switch}..")
+    # The head and the rows before the switch; the next block's separator is never written.
+    assert out.split("\n") == reference.split("\n")[: 1 + switch]
+    target = tmp_path / "out.bfile"
+    code, out, err = run_cli(capsys, "gen", *argv, "--count", str(count), "--format", "bfile", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert "verification error" in err
+    assert target.read_text() == ""
+
+
 def test_gen_z_past_the_int_str_digit_cap(capsys, decimal_checks):
     # The last terms of z pass 4300 digits. int->str runs only on sampled
     # rows, since over every term it is the cost that Decimal output saves;
@@ -726,8 +888,8 @@ def test_gen_output_is_whole_at_piece_boundaries(capsys, monkeypatch, fmt, block
         pieces.append(text)
         real_emit(text, out)
 
-    def counting_blocks(stream, count):
-        for digits in real_blocks(stream, count):
+    def counting_blocks(*args):
+        for digits in real_blocks(*args):
             blocks.append(digits)
             yield digits
 
