@@ -4,10 +4,11 @@ The headline statement: the average of the first b_n triangular numbers is
 itself a triangular number, the a_n-th. Everything here exists either to
 generate the sequence family involved (a, b, u, v, L, F, and the convergent
 numerators z) or to verify, with exact integer arithmetic, the identities
-that make the statement true.
+that make the statement true. Sequences are streams: ``terms(seq)`` for the
+family, ``numerators()`` and ``denominators()`` for the convergent ladder.
 """
 
-from .convergents import Convergent, cf_sqrt3, numerators, z
+from .convergents import denominators, numerators
 from .exactnum import ALPHA, BETA, ONE, SQRT3, ZERO, QuadElem, is_perfect_square
 from .identities import SUITES, IdentityReport, run_all
 from .recurrences import (
@@ -21,7 +22,6 @@ from .recurrences import (
     RecurrenceSpec,
     SequenceId,
     eval_closed_form,
-    eval_iterative,
     eval_u,
     eval_v,
     eval_via_L,
@@ -34,7 +34,6 @@ from .triangular import (
     TriangularWitness,
     check_pair,
     enumerate_solutions,
-    is_triangular,
     prefix_average,
     prefix_sum,
     solve_r_for_s,
@@ -62,7 +61,6 @@ __all__ = [
     "L_SPEC",
     "F_SPEC",
     "resolve_spec",
-    "eval_iterative",
     "eval_closed_form",
     "eval_via_L",
     "eval_u",
@@ -73,7 +71,6 @@ __all__ = [
     "IdentityReport",
     "SUITES",
     "run_all",
-    "is_triangular",
     "prefix_sum",
     "prefix_average",
     "check_pair",
@@ -82,8 +79,6 @@ __all__ = [
     "enumerate_solutions",
     "TriangularWitness",
     "witness",
-    "Convergent",
-    "cf_sqrt3",
     "numerators",
-    "z",
+    "denominators",
 ]

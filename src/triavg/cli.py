@@ -233,7 +233,7 @@ def _gen_request(
         spec = RecurrenceSpec(k=args.k, w0=args.w0, w1=args.w1)
     elif any(flag is not None for flag in custom_flags):
         raise UsageError("--k/--w0/--w1 are only valid with seq 'custom'")
-    elif args.seq == "z":
+    elif args.seq.lower() == "z":
         return "z", lambda num: _ladder(num(0), num(1)), lambda: _ladder_residues(0, 1)
     else:
         try:

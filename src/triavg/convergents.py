@@ -5,14 +5,15 @@ offset puts the empty truncation 1/0 at index 0; the first actual fraction
 1/1 sits at index 1. That alignment is forced by the anchors z_1 = u_0 = 1
 and z_{2m} = L_m / 2, and it is what makes u a clean bisection: u_n equals
 every other numerator, computed here by a recurrence that shares nothing
-with the u recurrence. The ``bisection`` and ``differences`` suites in
-``identities`` check both laws.
+with the u recurrence. ``numerators()`` and ``denominators()`` stream the
+two ladders in step, so ``zip(numerators(), denominators())`` gives the
+convergents p/q from 1/0 on. The ``bisection`` and ``differences`` suites
+in ``identities`` check both laws.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 CF_INITIAL = 1
 CF_PERIOD = (1, 2)
@@ -43,29 +44,6 @@ def numerators() -> Iterator[int]:
     return _ladder(0, 1)
 
 
-class Convergent(NamedTuple):
-    """Numerator/denominator pair of one truncation of the sqrt(3) expansion."""
-
-    p: int
-    q: int
-    idx: int
-
-
-def cf_sqrt3(count: int) -> list[Convergent]:
-    """First ``count`` entries of the convergent ladder for sqrt(3).
-
-    Standard two-term recurrence p_i = t*p_{i-1} + p_{i-2} (same for q),
-    seeded with 1/0 and 0/1. The 1/0 seed is kept as index 0 so numerators
-    read 1, 1, 2, 5, 7, 19, 26, 71, ... (A002531).
-    """
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
-    pairs = zip(numerators(), _ladder(1, 0))
-    return [Convergent(p, q, idx) for idx, (p, q) in enumerate(islice(pairs, count))]
-
-
-def z(n: int) -> int:
-    """The n-th convergent numerator (A002531, z_0 = z_1 = 1)."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    return next(islice(numerators(), n, None))
+def denominators() -> Iterator[int]:
+    """q_0, q_1, q_2, ... = 0, 1, 1, 3, 4, 11, ..., the convergent denominators, without end."""
+    return _ladder(1, 0)

@@ -9,8 +9,9 @@ A spec (k, w0, w1) pins down one sequence. The named instances, by letter:
     L = w(0,  2, 4)   alpha^n + beta^n, the Lucas-like companion
     F = w(0,  0, 1)   kernel of the homogeneous family (A001353)
 
-Every sequence can be evaluated four independent ways: direct iteration,
-the closed form over Z[sqrt(3)], the L-companion form, and coefficient
+Every sequence can be evaluated four independent ways: direct iteration
+(``terms``, whose n-th term is ``next(islice(terms(spec), n, None))``), the
+closed form over Z[sqrt(3)], the L-companion form, and coefficient
 extraction from the generating function. The paths share no arithmetic,
 so their agreement is strong evidence of correctness. Only the test suite
 compares them: the ``verify`` CLI command streams the iteration (``terms``)
@@ -90,12 +91,6 @@ def terms(seq: SequenceId) -> Iterator[int]:
     while True:
         yield cur
         prev, cur = cur, 4 * cur - prev
-
-
-def eval_iterative(spec: RecurrenceSpec, n: int) -> int:
-    """w_n by direct iteration from w_0, w_1; the reference evaluator."""
-    _require_index(n)
-    return next(islice(terms(spec), n, None))
 
 
 def _divide_exactly(numerator: int, divisor: int, form: str, n: int) -> int:

@@ -41,20 +41,6 @@ def triangular(k: int) -> int:
     return (k * k + k) // 2
 
 
-def is_triangular(m: int) -> int | None:
-    """The index k with T_k = m, or None when m is not triangular.
-
-    Inverts the triangular map through the perfect-square test on 8m + 1;
-    the root of an odd square is odd, so (root - 1)/2 is exact.
-    """
-    if m < 0:
-        return None
-    root = is_perfect_square(8 * m + 1)
-    if root is None:
-        return None
-    return (root - 1) // 2
-
-
 def prefix_sum(s: int) -> int:
     """Sum of the first s triangular numbers, s*(s+1)*(s+2)/6 exactly.
 

@@ -9,17 +9,18 @@ print.
 import random
 import time
 from contextlib import contextmanager
+from itertools import islice
 
 from triavg.cli import main
-from triavg.convergents import cf_sqrt3
+from triavg.convergents import denominators, numerators
 from triavg.recurrences import (
     NAMED_SPECS,
     RecurrenceSpec,
     eval_closed_form,
-    eval_iterative,
     eval_via_L,
     gf_coefficients,
     sequence_prefix,
+    terms,
 )
 from triavg.triangular import enumerate_solutions, triangular, witness
 
@@ -69,8 +70,7 @@ def test_criterion_2_three_way_evaluator_agreement():
     with criterion(2, "evaluator agreement for all named specs, n < 64", 5.0):
         for spec in NAMED_SPECS.values():
             series = gf_coefficients(spec, 64)
-            for n in range(64):
-                direct = eval_iterative(spec, n)
+            for n, direct in enumerate(islice(terms(spec), 64)):
                 assert eval_closed_form(spec, n) == direct
                 assert series[n] == direct
                 if n >= 1:
@@ -92,13 +92,11 @@ def test_criterion_4_independent_diophantine_oracle():
     with criterion(4, "brute-force scan to 10^6 equals recurrence pairs", 60.0):
         scanned = enumerate_solutions(10**6)
         predicted = []
-        n = 1
-        while True:
-            s = eval_iterative(RecurrenceSpec(3, -1, 1), n)
+        pairs = zip(terms(RecurrenceSpec(3, -1, 1)), terms(RecurrenceSpec(1, 0, 1)))
+        for s, r in islice(pairs, 1, None):
             if s > 10**6:
                 break
-            predicted.append((s, eval_iterative(RecurrenceSpec(1, 0, 1), n)))
-            n += 1
+            predicted.append((s, r))
         assert scanned == predicted == SOLUTION_PAIRS_TO_1E6
         assert set(scanned) == set(SOLUTION_PAIRS_TO_1E6)
 
@@ -115,17 +113,17 @@ def test_criterion_5_full_identity_suite_via_cli(capsys):
 
 def test_criterion_6_bisection_and_convergent_quality():
     with criterion(6, "u_n = z_{2n+1}, even-index law, Pell-like errors", 1.0):
-        ladder = cf_sqrt3(2 * 64 + 2)
-        numerators = [c.p for c in ladder]
+        ladder = list(islice(zip(numerators(), denominators()), 2 * 64 + 2))
+        z = [p for p, _ in ladder]
         u = sequence_prefix("u", 65)
         L = sequence_prefix("L", 65)
         for n in range(65):
-            assert u[n] == numerators[2 * n + 1]
+            assert u[n] == z[2 * n + 1]
         for m in range(65):
             assert L[m] % 2 == 0
-            assert numerators[2 * m] == L[m] // 2
-        for c in ladder:
-            assert abs(c.p * c.p - 3 * c.q * c.q) in (1, 2)
+            assert z[2 * m] == L[m] // 2
+        for p, q in ladder:
+            assert abs(p * p - 3 * q * q) in (1, 2)
 
 
 def test_criterion_7_randomized_recurrence_property():

@@ -18,7 +18,7 @@ import triavg.convergents as convergents
 from triavg.cli import PREFIX_WARN_THRESHOLD, _unlimited_int_digits, main
 from triavg.convergents import numerators
 from triavg.exactnum import QuadElem
-from triavg.recurrences import A_SPEC, B_SPEC, RecurrenceSpec, eval_iterative, sequence_prefix
+from triavg.recurrences import A_SPEC, B_SPEC, RecurrenceSpec, sequence_prefix, terms
 
 FORMATS = ("plain", "bfile", "csv", "json")
 
@@ -122,10 +122,15 @@ def test_gen_rejects_zero_count(capsys):
     assert excinfo.value.code == 2
 
 
-def test_gen_case_insensitive_letters(capsys):
-    code, out, _ = run_cli(capsys, "gen", "f", "--count", "6")
+@pytest.mark.parametrize(
+    "seq, expected",
+    [("f", "0 1 4 15 56 209\n"), ("Z", "1 1 2 5 7 19\n")],
+    ids=["f", "Z"],
+)
+def test_gen_case_insensitive_letters(capsys, seq, expected):
+    code, out, _ = run_cli(capsys, "gen", seq, "--count", "6")
     assert code == 0
-    assert out == "0 1 4 15 56 209\n"
+    assert out == expected
 
 
 def test_gen_out_file(tmp_path, capsys):
@@ -386,7 +391,7 @@ def test_witness_past_the_int_str_digit_cap(capsys):
     code, out, err = run_cli(capsys, "witness", "2507")
     assert (code, err) == (0, "")
     assert _digit_cap() == cap
-    s, r = eval_iterative(B_SPEC, 2507), eval_iterative(A_SPEC, 2507)
+    s, r = next(itertools.islice(zip(terms(B_SPEC), terms(A_SPEC)), 2507, None))
     avg = r * (r + 1) // 2
     with _unlimited_int_digits():
         assert len(str(s * avg)) == 4301
@@ -402,7 +407,7 @@ def test_gen_past_the_int_str_digit_cap(capsys):
     terms = out.split()
     assert len(terms) == 7520
     with _unlimited_int_digits():
-        last = str(eval_iterative(A_SPEC, 7519))
+        last = str(sequence_prefix(A_SPEC, 7520)[-1])
     assert len(last) == 4301
     assert terms[-1] == last
 
@@ -613,8 +618,9 @@ def test_gen_decimal_output_past_the_int_str_digit_cap(capsys, decimal_calls, de
     assert decimal_calls == [7520]
     switch = 7520 - sum(decimal_checks)
     assert 0 < switch < 7520 - 6000
-    assert eval_iterative(B_SPEC, switch - 1).bit_length() <= cli.DECIMAL_FROM_BITS
-    assert eval_iterative(B_SPEC, switch + cli.BLOCK - 1).bit_length() > cli.DECIMAL_FROM_BITS
+    b = sequence_prefix(B_SPEC, switch + cli.BLOCK)
+    assert b[switch - 1].bit_length() <= cli.DECIMAL_FROM_BITS
+    assert b[-1].bit_length() > cli.DECIMAL_FROM_BITS
     assert _digit_cap() == cap
     assert out == int_reference("b", b_digits_7520(), fmt)
 

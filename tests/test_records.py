@@ -6,13 +6,12 @@ import types
 import pytest
 
 import triavg
-from triavg import Convergent, IdentityReport, RecurrenceSpec, TriangularWitness, resolve_spec, witness
+from triavg import IdentityReport, RecurrenceSpec, TriangularWitness, resolve_spec, witness
 
 
 def test_records_keep_their_fields():
     assert RecurrenceSpec(k=1, w0=0, w1=1).w1 == 1
     assert IdentityReport("x", (0, 3), []).checked_range == (0, 3)
-    assert Convergent(p=2, q=1, idx=2).idx == 2
     record = witness(2)
     assert (record.n, record.s, record.avg, record.r, record.total) == (2, 8, 15, 5, 120)
     assert record.verify()
@@ -23,7 +22,6 @@ def test_records_keep_their_fields():
     [
         (RecurrenceSpec(1, 0, 1), "k"),
         (IdentityReport("x", (0, 1), []), "failures"),
-        (Convergent(1, 1, 1), "p"),
         (TriangularWitness(1, 1, 1, 1), "avg"),
     ],
 )
@@ -34,7 +32,6 @@ def test_records_are_immutable(record, field):
 
 def test_records_hash_by_value():
     assert hash(RecurrenceSpec(3, -1, 1)) == hash(RecurrenceSpec(3, -1, 1))
-    assert len({Convergent(1, 0, 0), Convergent(1, 0, 0), Convergent(1, 1, 1)}) == 2
     assert witness(3) in {witness(3)}
 
 
@@ -64,3 +61,25 @@ def test_triavg_triangular_is_the_module():
     assert triavg.triangular.triangular is triangular
     assert triangular(5) == 15
     assert "triangular" not in triavg.__all__
+
+
+def test_every_public_name_resolves():
+    for name in triavg.__all__:
+        assert hasattr(triavg, name), name
+    assert len(set(triavg.__all__)) == len(triavg.__all__)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("recurrences", "eval_iterative"),
+        ("convergents", "z"),
+        ("convergents", "Convergent"),
+        ("convergents", "cf_sqrt3"),
+        ("triangular", "is_triangular"),
+    ],
+)
+def test_removed_names_are_gone(module, name):
+    assert name not in triavg.__all__
+    assert not hasattr(triavg, name)
+    assert not hasattr(getattr(triavg, module), name)

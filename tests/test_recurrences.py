@@ -18,7 +18,6 @@ from triavg.recurrences import (
     V_SPEC,
     RecurrenceSpec,
     eval_closed_form,
-    eval_iterative,
     eval_u,
     eval_v,
     eval_via_L,
@@ -64,15 +63,10 @@ def test_resolve_spec_rejects_non_strings_with_a_type_error(bad):
 
 
 def test_iterative_first_values():
-    assert [eval_iterative(A_SPEC, n) for n in range(6)] == [0, 1, 5, 20, 76, 285]
-    assert [eval_iterative(B_SPEC, n) for n in range(6)] == [-1, 1, 8, 34, 131, 493]
-    assert eval_iterative(L_SPEC, 0) == 2
-    assert eval_iterative(U_SPEC, 2) == 19
-
-
-def test_iterative_rejects_negative_index():
-    with pytest.raises(ValueError):
-        eval_iterative(A_SPEC, -1)
+    assert list(islice(terms(A_SPEC), 6)) == [0, 1, 5, 20, 76, 285]
+    assert list(islice(terms(B_SPEC), 6)) == [-1, 1, 8, 34, 131, 493]
+    assert next(terms(L_SPEC)) == 2
+    assert next(islice(terms(U_SPEC), 2, None)) == 19
 
 
 def test_terms_stream_the_prefix():
@@ -152,9 +146,10 @@ def test_eval_v_examples():
 
 
 def test_u_and_v_match_their_recurrences():
+    u, v = sequence_prefix(U_SPEC, 64), sequence_prefix(V_SPEC, 64)
     for n in range(64):
-        assert eval_u(n) == eval_iterative(U_SPEC, n)
-        assert eval_v(n) == eval_iterative(V_SPEC, n)
+        assert eval_u(n) == u[n]
+        assert eval_v(n) == v[n]
 
 
 def test_u_is_positive_and_strictly_increasing():
@@ -186,8 +181,7 @@ def test_three_way_agreement(name, spec):
     """Iteration, closed form, and series extraction agree; the companion
     form joins from n = 1."""
     series = gf_coefficients(spec, 64)
-    for n in range(64):
-        direct = eval_iterative(spec, n)
+    for n, direct in enumerate(islice(terms(spec), 64)):
         assert eval_closed_form(spec, n) == direct
         assert series[n] == direct
         if n >= 1:
@@ -220,7 +214,7 @@ def test_recurrence_holds_for_arbitrary_specs(spec):
 def test_closed_form_matches_iteration_for_arbitrary_specs(spec, n):
     # The sqrt(3) component cancelling exactly is part of the contract:
     # eval_closed_form raises if it does not.
-    assert eval_closed_form(spec, n) == eval_iterative(spec, n)
+    assert eval_closed_form(spec, n) == next(islice(terms(spec), n, None))
 
 
 @given(
@@ -229,7 +223,7 @@ def test_closed_form_matches_iteration_for_arbitrary_specs(spec, n):
 )
 @settings(max_examples=100)
 def test_companion_form_matches_iteration_for_arbitrary_specs(spec, n):
-    assert eval_via_L(spec, n) == eval_iterative(spec, n)
+    assert eval_via_L(spec, n) == next(islice(terms(spec), n, None))
 
 
 @given(st.builds(RecurrenceSpec, spec_ints, spec_ints, spec_ints))
@@ -244,9 +238,9 @@ def test_series_extraction_matches_iteration_for_arbitrary_specs(spec):
 )
 @settings(max_examples=60, deadline=None)
 def test_closed_forms_match_iteration_deep(spec, n):
-    assert eval_closed_form(spec, n) == eval_iterative(spec, n)
-    assert eval_u(n) == eval_iterative(U_SPEC, n)
-    assert eval_v(n) == eval_iterative(V_SPEC, n)
+    assert eval_closed_form(spec, n) == next(islice(terms(spec), n, None))
+    assert eval_u(n) == next(islice(terms(U_SPEC), n, None))
+    assert eval_v(n) == next(islice(terms(V_SPEC), n, None))
 
 
 def test_closed_form_rejects_a_weight_whose_sqrt3_part_does_not_cancel(monkeypatch):

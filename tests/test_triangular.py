@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from triavg import recurrences
 from triavg import triangular as triangular_module
 from triavg.exactnum import QuadElem
-from triavg.recurrences import A_SPEC, B_SPEC, eval_iterative, sequence_prefix
+from triavg.recurrences import A_SPEC, B_SPEC, sequence_prefix, terms
 from triavg.triangular import (
     LITERAL_SUM_CUTOFF,
     SIEVE_BLOCK,
@@ -18,7 +18,6 @@ from triavg.triangular import (
     TriangularWitness,
     check_pair,
     enumerate_solutions,
-    is_triangular,
     prefix_average,
     prefix_sum,
     residue_masks,
@@ -38,18 +37,6 @@ def test_triangular_examples():
 def test_triangular_rejects_negative():
     with pytest.raises(ValueError):
         triangular(-1)
-
-
-def test_is_triangular_examples():
-    assert is_triangular(210) == 20
-    assert is_triangular(2) is None
-    assert is_triangular(0) == 0
-    assert is_triangular(-3) is None
-
-
-@given(st.integers(min_value=0, max_value=10**9))
-def test_is_triangular_round_trip(k):
-    assert is_triangular(triangular(k)) == k
 
 
 def test_prefix_average_examples():
@@ -128,20 +115,15 @@ def test_scan_agrees_with_recurrence_pairs(s_max):
     each computed on its own."""
     scanned = enumerate_solutions(s_max)
     predicted = []
-    n = 1
-    while True:
-        s = eval_iterative(B_SPEC, n)
+    for s, r in itertools.islice(zip(terms(B_SPEC), terms(A_SPEC)), 1, None):
         if s > s_max:
             break
-        predicted.append((s, eval_iterative(A_SPEC, n)))
-        n += 1
+        predicted.append((s, r))
     assert scanned == predicted
 
 
 def test_radical_round_trip_through_both_solvers():
-    for n in range(1, 41):
-        b_n = eval_iterative(B_SPEC, n)
-        a_n = eval_iterative(A_SPEC, n)
+    for b_n, a_n in itertools.islice(zip(terms(B_SPEC), terms(A_SPEC)), 1, 41):
         assert solve_s_for_r(a_n) == b_n
         assert solve_r_for_s(b_n) == a_n
 
@@ -278,7 +260,7 @@ def test_scan_never_touches_the_recurrences(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the scan called the recurrences")
 
-    for name in ("eval_iterative", "eval_closed_form", "_closed_form_at", "sequence_prefix", "terms"):
+    for name in ("eval_closed_form", "_closed_form_at", "sequence_prefix", "terms"):
         monkeypatch.setattr(recurrences, name, refuse)
     # triavg.triangular holds _closed_form_at under its own name as well.
     monkeypatch.setattr(triangular_module, "_closed_form_at", refuse)
@@ -288,10 +270,12 @@ def test_scan_never_touches_the_recurrences(monkeypatch):
 
 
 def test_witness_agrees_with_iteration():
-    for n in [*range(1, 301), 30000]:
-        w = witness(n)
-        assert (w.s, w.r) == (eval_iterative(B_SPEC, n), eval_iterative(A_SPEC, n)), n
-        assert w.avg == triangular(w.r)
+    checked = {*range(1, 301), 30000}
+    for n, (s, r) in enumerate(itertools.islice(zip(terms(B_SPEC), terms(A_SPEC)), max(checked) + 1)):
+        if n in checked:
+            w = witness(n)
+            assert (w.s, w.r) == (s, r), n
+            assert w.avg == triangular(w.r)
 
 
 def test_witness_does_not_iterate(monkeypatch):
@@ -300,9 +284,10 @@ def test_witness_does_not_iterate(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("witness iterated the recurrence")
 
-    monkeypatch.setattr(recurrences, "eval_iterative", refuse)
-    # Also under the name triavg.triangular would hold if it imported it.
-    monkeypatch.setattr(triangular_module, "eval_iterative", refuse, raising=False)
+    for name in ("terms", "sequence_prefix"):
+        monkeypatch.setattr(recurrences, name, refuse)
+        # Also under the name triavg.triangular would hold if it imported it.
+        monkeypatch.setattr(triangular_module, name, refuse, raising=False)
     assert [witness(n) for n in (1, 2, 10, 500)] == expected
 
 
@@ -321,7 +306,7 @@ def _witness_with_wrong(monkeypatch, n, wrong_spec, offset):
 def test_witness_rejects_an_s_with_a_non_integral_average(monkeypatch, n):
     # b_n is 1 or 2 mod 3, so b_n + 1 or b_n + 2 is 0 mod 3, and then
     # (s + 1)(s + 2)/6, the average, is not an integer.
-    offset = 3 - eval_iterative(B_SPEC, n) % 3
+    offset = 3 - next(itertools.islice(terms(B_SPEC), n, None)) % 3
     with pytest.raises(ArithmeticError, match="not integral"):
         _witness_with_wrong(monkeypatch, n, B_SPEC, offset)
 
