@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, TextIO
 
 from .convergents import _cf_terms, _ladder
 from .identities import SUITES, IdentityReport, run_all
-from .recurrences import B_SPEC, RecurrenceSpec, resolve_spec, terms
+from .recurrences import B_SPEC, NAMED_SPECS, RecurrenceSpec, terms
 from .triangular import SIEVE_MODULI, enumerate_solutions, prefix_average, solve_s_for_r, witness
 
 PREFIX_WARN_THRESHOLD = 10**6
@@ -225,24 +225,22 @@ def _gen_request(
     FINGERPRINT_MODULUS from the seeds reduced mod it, the reference that
     each Decimal block is checked against.
     """
+    seq = args.seq.lower()
     custom_flags = [args.k, args.w0, args.w1]
-    if args.seq == "custom":
+    if seq == "custom":
         if any(flag is None for flag in custom_flags):
             raise UsageError("custom sequences need all of --k, --w0, --w1")
         name = f"custom(k={args.k},w0={args.w0},w1={args.w1})"
         spec = RecurrenceSpec(k=args.k, w0=args.w0, w1=args.w1)
     elif any(flag is not None for flag in custom_flags):
         raise UsageError("--k/--w0/--w1 are only valid with seq 'custom'")
-    elif args.seq.lower() == "z":
+    elif seq == "z":
         return "z", lambda num: _ladder(num(0), num(1)), lambda: _ladder_residues(0, 1)
     else:
-        try:
-            spec = resolve_spec(args.seq)
-        except KeyError:
-            raise UsageError(
-                f"unknown sequence {args.seq!r}; expected a, b, u, v, L, F, z or custom"
-            )
-        name = next(letter for letter in "abuvLF" if resolve_spec(letter) == spec)
+        name = {letter.lower(): letter for letter in NAMED_SPECS}.get(seq)
+        if name is None:
+            raise UsageError(f"unknown sequence {args.seq!r}; expected a, b, u, v, L, F, z or custom")
+        spec = NAMED_SPECS[name]
     return name, lambda num: terms(RecurrenceSpec(*map(num, spec))), lambda: _family_residues(spec)
 
 

@@ -2,10 +2,10 @@
 
 ``QuadElem`` is the number a + b*sqrt(3) held as two Python ints a and b.
 sqrt(3) is irrational, so the pair is unique per value, and ring operations
-are plain big-integer arithmetic on the pairs. The closed forms of this
-package need no denominator: they carry 12 times the rational coefficients
-of the paper as integer weights, and end in one exact integer division by
-12 or 2. Powers track the norm of the running value, so that each squaring
+are plain big-integer arithmetic on the pairs. The family's closed form
+needs no denominator: it carries 12 times the rational coefficients of the
+paper as integer weights, and ends in one exact integer division by 12.
+Powers track the norm of the running value, so that each squaring
 is two big squares (exact, since a^2 = 3b^2 + norm) rather than a square
 and two products. The module also has an exact perfect-square test.
 """

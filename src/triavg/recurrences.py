@@ -13,12 +13,13 @@ Every sequence can be evaluated four independent ways: direct iteration
 (``terms``, whose n-th term is ``next(islice(terms(spec), n, None))``), the
 closed form over Z[sqrt(3)], the L-companion form, and coefficient
 extraction from the generating function. The paths share no arithmetic,
-so their agreement is strong evidence of correctness. Only the test suite
-compares them: the ``verify`` CLI command streams the iteration (``terms``)
-and the continued-fraction ladder, and none of the other three. Outside the
-tests the closed form serves ``triangular.witness`` alone, which weighs one
-power of alpha for both b_n and a_n; ``solve`` takes the b_n that decide
-where it stops from ``terms``.
+so their agreement is strong evidence of correctness. ``eval_u`` and
+``eval_v`` are the closed form at U_SPEC and V_SPEC, not a fifth way. Only
+the test suite compares them: the ``verify`` CLI command streams the
+iteration (``terms``) and the continued-fraction ladder, and none of the
+other three. Outside the tests the closed form serves ``triangular.witness``
+alone, which weighs one power of alpha for both b_n and a_n; ``solve``
+takes the b_n that decide where it stops from ``terms``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator, NamedTuple, Union
 
-from .exactnum import ALPHA, ONE, SQRT3, QuadElem, _make
+from .exactnum import ALPHA, QuadElem, _make
 
 
 class RecurrenceSpec(NamedTuple):
@@ -118,20 +119,6 @@ def _closed_form_weights(spec: RecurrenceSpec) -> tuple[QuadElem, QuadElem]:
     return weight_alpha, weight_beta
 
 
-def _weigh(weight_alpha: QuadElem, weight_beta: QuadElem, power: QuadElem) -> QuadElem:
-    """weight_alpha * power + weight_beta * conj(power), formed on the coefficients.
-
-    With power = p + q*sqrt(3) and conj(power) = p - q*sqrt(3), the sum
-    collects into one integer and one sqrt(3) coefficient, so the weights
-    meet the big coefficients in four small-by-big products and no ring
-    operation.
-    """
-    p, q = power._a, power._b
-    xa, ya = weight_alpha._a, weight_alpha._b
-    xb, yb = weight_beta._a, weight_beta._b
-    return _make((xa + xb) * p + 3 * (ya - yb) * q, (ya + yb) * p + (xa - xb) * q)
-
-
 def eval_closed_form(spec: RecurrenceSpec, n: int) -> int:
     """w_n = -k/2 + c_a*alpha^n + c_b*beta^n, evaluated exactly in Z[sqrt(3)].
 
@@ -152,7 +139,13 @@ def _closed_form_at(spec: RecurrenceSpec, power: QuadElem, n: int) -> int:
     b_n and a_n.
     """
     weight_alpha, weight_beta = _closed_form_weights(spec)
-    value = _weigh(weight_alpha, weight_beta, power)
+    # weight_alpha*power + weight_beta*conj(power) on the coefficients: with
+    # power = p + q*sqrt(3), the weights meet the big p and q in four
+    # small-by-big products and no ring operation.
+    p, q = power._a, power._b
+    xa, ya = weight_alpha._a, weight_alpha._b
+    xb, yb = weight_beta._a, weight_beta._b
+    value = _make((xa + xb) * p + 3 * (ya - yb) * q, (ya + yb) * p + (xa - xb) * q)
     return _divide_exactly(value.as_integer() - 6 * spec.k, 12, "closed form", n)
 
 
@@ -192,32 +185,14 @@ def gf_coefficients(spec: RecurrenceSpec, count: int) -> list[int]:
     return coeffs
 
 
-# alpha^(1/2) = (1 + sqrt3)/sqrt2 and beta^(1/2) = (sqrt3 - 1)/sqrt2 (taking
-# alpha^(1/2) - beta^(1/2) = sqrt2), so the half-power closed forms for u and v
-# collapse to integer powers with these weights and never leave Z[sqrt(3)]
-# until one final division by 2.
-_W_PLUS = ONE + SQRT3
-_W_MINUS = SQRT3 - ONE
-
-
 def eval_u(n: int) -> int:
-    """u_n = ((1+sqrt3)*alpha^n - (sqrt3-1)*beta^n) / 2."""
-    _require_index(n)
-    twice_u = _weigh(_W_PLUS, -_W_MINUS, ALPHA**n)
-    return _divide_exactly(twice_u.as_integer(), 2, "u closed form", n)
+    """u_n, the family closed form at U_SPEC: eval_closed_form(U_SPEC, n)."""
+    return eval_closed_form(U_SPEC, n)
 
 
 def eval_v(n: int) -> int:
-    """v_n = sqrt3 * ((1+sqrt3)*alpha^n + (sqrt3-1)*beta^n) / 2.
-
-    The bracket is a pure sqrt(3) multiple; that is checked before the
-    multiplication by sqrt3 brings the value back to the integers.
-    """
-    _require_index(n)
-    bracket = _weigh(_W_PLUS, _W_MINUS, ALPHA**n)
-    if bracket._a:
-        raise ArithmeticError(f"expected a pure sqrt(3) multiple, got {bracket.size_summary()}")
-    return _divide_exactly((SQRT3 * bracket).as_integer(), 2, "v closed form", n)
+    """v_n, the family closed form at V_SPEC: eval_closed_form(V_SPEC, n)."""
+    return eval_closed_form(V_SPEC, n)
 
 
 def sequence_prefix(seq: SequenceId, count: int) -> list[int]:

@@ -133,6 +133,32 @@ def test_gen_case_insensitive_letters(capsys, seq, expected):
     assert out == expected
 
 
+@pytest.mark.parametrize(
+    "seq, name",
+    [
+        ("l", "L"),
+        ("f", "F"),
+        ("A", "a"),
+        ("Z", "z"),
+        ("Custom", "custom(k=1,w0=0,w1=1)"),
+        ("CUSTOM", "custom(k=1,w0=0,w1=1)"),
+    ],
+)
+def test_gen_any_case_keeps_the_output_name(capsys, seq, name):
+    flags = ["--k", "1", "--w0", "0", "--w1", "1"] if seq.lower() == "custom" else []
+    code, out, _ = run_cli(capsys, "gen", seq, *flags, "--count", "3", "--format", "bfile")
+    assert code == 0
+    assert out.splitlines()[0] == f"# {name} offset 0"
+    if flags:
+        assert out.splitlines()[1:] == ["0 0", "1 1", "2 5"]
+
+
+@pytest.mark.parametrize("seq", ["Custom", "CUSTOM"])
+def test_gen_custom_in_any_case_needs_its_flags(capsys, seq):
+    code, out, err = run_cli(capsys, "gen", seq, "--count", "3")
+    assert (code, out, err) == (2, "", "error: custom sequences need all of --k, --w0, --w1\n")
+
+
 def test_gen_out_file(tmp_path, capsys):
     target = tmp_path / "a.bfile"
     code, out, _ = run_cli(

@@ -1,9 +1,13 @@
-"""Run the README's Library example and check each result against its comment."""
+"""Run the README's Library and CLI examples and check each against what it shows."""
 
 import ast
 import io
+import itertools
 import pathlib
+import shlex
 import tokenize
+
+from triavg.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,3 +43,28 @@ def test_readme_library_example_runs_as_commented():
             assert value == expected, ast.get_source_segment(source, stmt)
         checked += 1
     assert checked == 7
+
+
+def cli_examples():
+    """(command, shown output) for each `$ triavg ...` line of the "## CLI" section.
+
+    The output is the lines after the command, up to the next blank line or
+    closing fence, as CI's console-script step reads them.
+    """
+    text = README.read_text()
+    start = text.index("\n## CLI\n")
+    lines = text[start : text.index("\n## ", start + 1)].splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ triavg "):
+            shown = itertools.takewhile(lambda row: row and row != "```", lines[i + 1 :])
+            examples.append((line[2:], "".join(f"{row}\n" for row in shown)))
+    return examples
+
+
+def test_readme_cli_examples_print_what_they_show(capsys):
+    examples = cli_examples()
+    for command, shown in examples:
+        code = main(shlex.split(command)[1:])
+        assert (code, capsys.readouterr().out) == (0, shown), command
+    assert len(examples) == 8

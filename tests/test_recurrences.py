@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triavg import recurrences
-from triavg.exactnum import ALPHA, ONE, SQRT3
+from triavg.exactnum import ALPHA, ONE
 from triavg.recurrences import (
     A_SPEC,
     B_SPEC,
@@ -264,11 +264,3 @@ def test_closed_form_guard_error_stays_arithmetic_past_the_int_str_digit_cap(mon
     monkeypatch.setattr(recurrences, "_closed_form_weights", lambda spec: (ALPHA, ALPHA))
     with pytest.raises(ArithmeticError, match="bits"):
         eval_closed_form(A_SPEC, 8000)
-
-
-def test_v_guard_error_stays_arithmetic_past_the_int_str_digit_cap(monkeypatch):
-    # With 1 + sqrt3 in place of sqrt3 - 1 the bracket is (1 + sqrt3) * L_n,
-    # which has a rational part of over 4300 digits at n = 8000.
-    monkeypatch.setattr(recurrences, "_W_MINUS", ONE + SQRT3)
-    with pytest.raises(ArithmeticError, match="pure sqrt"):
-        eval_v(8000)
