@@ -3,8 +3,8 @@
 ``QuadElem`` is the number a + b*sqrt(3) held as two Python ints a and b.
 sqrt(3) is irrational, so the pair is unique per value, and ring operations
 are plain big-integer arithmetic on the pairs. The family's closed form
-needs no denominator: it carries 12 times the rational coefficients of the
-paper as integer weights, and ends in one exact integer division by 12.
+takes one power of alpha from here and does the rest (integer weights, the
+sqrt(3) cancellation, one exact division by 12) on that power's two ints.
 Powers track the norm of the running value, so that each squaring
 is two big squares (exact, since a^2 = 3b^2 + norm) rather than a square
 and two products. The module also has an exact perfect-square test.
@@ -107,9 +107,10 @@ class QuadElem:
     def __pow__(self, n: int) -> QuadElem:
         """n-th power by binary exponentiation, n >= 0.
 
-        Bits are taken from the top, so each step multiplies by the base
-        itself. For a base with small coefficients, such as ALPHA, that step
-        costs linear time and only the squarings are big multiplications.
+        Bits are taken from the top. The leading one is the base itself, so
+        no step squares 1, and each later set bit multiplies by the base. For
+        a base with small coefficients, such as ALPHA, that step costs linear
+        time and only the squarings are big multiplications. n = 0 gives 1.
 
         The running coefficients a, b keep a^2 - 3b^2 = m, the norm of the
         base x + y*sqrt(3) raised to the power reached so far, so
@@ -123,10 +124,12 @@ class QuadElem:
             return NotImplemented
         if n < 0:
             raise ValueError("QuadElem powers are defined for n >= 0 only")
+        if not n:
+            return _make(1, 0)
         x, y = self._a, self._b
         norm = x * x - 3 * y * y
-        a, b, m = 1, 0, 1
-        for bit in f"{n:b}":
+        a, b, m = x, y, norm
+        for bit in f"{n:b}"[1:]:
             bb = b * b
             s = a + b
             a, b, m = 6 * bb + m, s * s - 4 * bb - m, m * m
@@ -141,9 +144,9 @@ class QuadElem:
     def as_integer(self) -> int:
         """This element as a plain int.
 
-        Raises ArithmeticError when the sqrt(3) component is nonzero.
-        Closed-form sequence evaluation relies on that cancellation, so a
-        failure here is an internal bug, never a caller error.
+        Raises ArithmeticError when the sqrt(3) component is nonzero. The
+        package does not call it: the closed form checks the same
+        cancellation on its power's two ints.
         """
         if self._b:
             raise ArithmeticError(f"sqrt(3) component did not cancel: {self.size_summary()}")

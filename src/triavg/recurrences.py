@@ -71,11 +71,6 @@ def resolve_spec(seq: SequenceId) -> RecurrenceSpec:
     raise KeyError(f"unknown sequence {seq!r}; expected one of a, b, u, v, L, F")
 
 
-def _require_index(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"sequence index must be nonnegative, got {n}")
-
-
 def terms(seq: SequenceId) -> Iterator[int]:
     """w_0, w_1, w_2, ... for a named or custom sequence, by iteration, without end.
 
@@ -104,9 +99,10 @@ def _divide_exactly(numerator: int, divisor: int, form: str, n: int) -> int:
     return quotient
 
 
-def _closed_form_weights(spec: RecurrenceSpec) -> tuple[QuadElem, QuadElem]:
-    """12*c_a and 12*c_b, the weights of alpha^n and beta^n in Z[sqrt(3)].
+def _closed_form_weights(spec: RecurrenceSpec) -> tuple[tuple[int, int], tuple[int, int]]:
+    """12*c_a and 12*c_b, the weights of alpha^n and beta^n, as int pairs.
 
+    A pair (x, y) stands for x + y*sqrt(3); no QuadElem is built.
     12*c_a = s*alpha + t*beta + (k - 2r) and 12*c_b = s*beta + t*alpha + (k - 2r),
     with t = k + 4r - s; expanding alpha = 2 + sqrt(3) and beta = 2 - sqrt(3)
     gives the integer components below. Each is built from the spec on its
@@ -114,39 +110,42 @@ def _closed_form_weights(spec: RecurrenceSpec) -> tuple[QuadElem, QuadElem]:
     component that fails to cancel.
     """
     k, r, s = spec
-    weight_alpha = _make(3 * k + 6 * r, 2 * s - k - 4 * r)
-    weight_beta = _make(3 * k + 6 * r, k + 4 * r - 2 * s)
-    return weight_alpha, weight_beta
+    return (3 * k + 6 * r, 2 * s - k - 4 * r), (3 * k + 6 * r, k + 4 * r - 2 * s)
 
 
 def eval_closed_form(spec: RecurrenceSpec, n: int) -> int:
-    """w_n = -k/2 + c_a*alpha^n + c_b*beta^n, evaluated exactly in Z[sqrt(3)].
+    """w_n = -k/2 + c_a*alpha^n + c_b*beta^n, evaluated exactly.
 
-    12*w_n = -6k + 12*c_a*alpha^n + 12*c_b*beta^n has integer weights, so
-    the sum is formed in Z[sqrt(3)] and divided by 12 once. beta^n is the
-    conjugate of alpha^n, conjugation being a ring automorphism. The
-    sqrt(3) component must cancel (``QuadElem.as_integer``) and the sum must
-    be a multiple of 12; either failure raises ArithmeticError.
+    12*w_n = -6k + 12*c_a*alpha^n + 12*c_b*beta^n has integer weights, and
+    beta^n is the conjugate of alpha^n, conjugation being a ring
+    automorphism. So one power of alpha in Z[sqrt(3)] is the only ring
+    operation; ``_closed_form_at`` does the rest on plain ints. Raises
+    ValueError for n < 0, and ArithmeticError when the sqrt(3) component
+    fails to cancel or the sum is not a multiple of 12.
     """
-    _require_index(n)
+    if n < 0:
+        raise ValueError(f"sequence index must be nonnegative, got {n}")
     return _closed_form_at(spec, ALPHA**n, n)
 
 
 def _closed_form_at(spec: RecurrenceSpec, power: QuadElem, n: int) -> int:
     """w_n for spec from a given power = alpha^n, with eval_closed_form's checks.
 
-    Split out so that ``triangular.witness`` can weigh one power for both
-    b_n and a_n.
+    With power = p + q*sqrt(3) and weights (xa, ya), (xb, yb), the sum
+    (xa + ya*sqrt(3))*power + (xb + yb*sqrt(3))*conj(power) is four
+    small-by-big products on p and q. Its sqrt(3) component must be 0 and
+    its rational one, less 6k, a multiple of 12; either failure raises
+    ArithmeticError, as it would mean a bug, not bad input. Split out so
+    that ``triangular.witness`` can weigh one power for both b_n and a_n.
     """
-    weight_alpha, weight_beta = _closed_form_weights(spec)
-    # weight_alpha*power + weight_beta*conj(power) on the coefficients: with
-    # power = p + q*sqrt(3), the weights meet the big p and q in four
-    # small-by-big products and no ring operation.
+    (xa, ya), (xb, yb) = _closed_form_weights(spec)
     p, q = power._a, power._b
-    xa, ya = weight_alpha._a, weight_alpha._b
-    xb, yb = weight_beta._a, weight_beta._b
-    value = _make((xa + xb) * p + 3 * (ya - yb) * q, (ya + yb) * p + (xa - xb) * q)
-    return _divide_exactly(value.as_integer() - 6 * spec.k, 12, "closed form", n)
+    rational = (xa + xb) * p + 3 * (ya - yb) * q
+    irrational = (ya + yb) * p + (xa - xb) * q
+    if irrational:
+        summary = _make(rational, irrational).size_summary()
+        raise ArithmeticError(f"closed form at n={n}: sqrt(3) component did not cancel: {summary}")
+    return _divide_exactly(rational - 6 * spec.k, 12, "closed form", n)
 
 
 def eval_via_L(spec: RecurrenceSpec, n: int) -> int:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triavg import recurrences
-from triavg.exactnum import ALPHA, ONE
+from triavg.exactnum import QuadElem
 from triavg.recurrences import (
     A_SPEC,
     B_SPEC,
@@ -26,6 +26,7 @@ from triavg.recurrences import (
     sequence_prefix,
     terms,
 )
+from triavg.triangular import witness
 
 # Locally stored OEIS prefixes used as cross-checks (no network lookups).
 A061278_PREFIX = [0, 1, 5, 20, 76, 285, 1065, 3976, 14840, 55385, 206701, 771420]
@@ -251,9 +252,17 @@ def test_closed_form_rejects_a_weight_whose_sqrt3_part_does_not_cancel(monkeypat
         eval_closed_form(A_SPEC, 5)
 
 
+def test_closed_form_rejects_weights_whose_rational_parts_differ(monkeypatch):
+    # Weights 1 and 0 have no sqrt(3) parts, so only (xa - xb)*q = F_n is left
+    # in the sqrt(3) component.
+    monkeypatch.setattr(recurrences, "_closed_form_weights", lambda spec: ((1, 0), (0, 0)))
+    with pytest.raises(ArithmeticError, match="sqrt"):
+        eval_closed_form(A_SPEC, 5)
+
+
 def test_closed_form_rejects_a_sum_that_is_not_a_multiple_of_12(monkeypatch):
     # Weights 1 and 1 cancel sqrt(3) but give L_1 - 6k = -2 for a.
-    monkeypatch.setattr(recurrences, "_closed_form_weights", lambda spec: (ONE, ONE))
+    monkeypatch.setattr(recurrences, "_closed_form_weights", lambda spec: ((1, 0), (1, 0)))
     with pytest.raises(ArithmeticError, match="non-integer"):
         eval_closed_form(A_SPEC, 1)
 
@@ -261,6 +270,40 @@ def test_closed_form_rejects_a_sum_that_is_not_a_multiple_of_12(monkeypatch):
 def test_closed_form_guard_error_stays_arithmetic_past_the_int_str_digit_cap(monkeypatch):
     # At n = 8000 the uncancelled element has over 4300 digits, too many for
     # str() under Python's default cap; the message must not need them.
-    monkeypatch.setattr(recurrences, "_closed_form_weights", lambda spec: (ALPHA, ALPHA))
+    monkeypatch.setattr(recurrences, "_closed_form_weights", lambda spec: ((2, 1), (2, 1)))
     with pytest.raises(ArithmeticError, match="bits"):
         eval_closed_form(A_SPEC, 8000)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [lambda n: eval_closed_form(A_SPEC, n), eval_u, eval_v],
+    ids=["eval_closed_form", "eval_u", "eval_v"],
+)
+def test_closed_forms_reject_a_negative_index(evaluate):
+    with pytest.raises(ValueError, match="sequence index must be nonnegative"):
+        evaluate(-1)
+
+
+def test_the_power_of_alpha_is_the_only_ring_operation(monkeypatch):
+    near_2_32 = RecurrenceSpec(2**32 - 5, -(2**32) + 3, 2**32 - 1)
+    indices = (0, 1, 2, 64, 1000)
+    specs = [*NAMED_SPECS.values(), near_2_32]
+    expected = {spec: sequence_prefix(spec, max(indices) + 1) for spec in specs}
+    b_terms, a_terms = sequence_prefix(B_SPEC, 13), sequence_prefix(A_SPEC, 13)
+
+    def refuse(*args):
+        raise AssertionError("a QuadElem operation other than the power ran")
+
+    ring_operators = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__")
+    for name in (*ring_operators, "__truediv__", "conjugate", "as_integer"):
+        monkeypatch.setattr(QuadElem, name, refuse)
+    for spec in specs:
+        for n in indices:
+            assert eval_closed_form(spec, n) == expected[spec][n], (spec, n)
+    for n in indices:
+        assert eval_u(n) == expected[U_SPEC][n]
+        assert eval_v(n) == expected[V_SPEC][n]
+    for n in range(1, 13):
+        found = witness(n)
+        assert (found.s, found.r) == (b_terms[n], a_terms[n])
