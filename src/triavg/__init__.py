@@ -4,8 +4,8 @@ The headline statement: the average of the first b_n triangular numbers is
 itself a triangular number, the a_n-th. Everything here exists either to
 generate the sequence family involved (a, b, u, v, L, F, and the convergent
 numerators z) or to verify, with exact integer arithmetic, the identities
-that make the statement true. Sequences are streams: ``terms(seq)`` for the
-family, ``numerators()`` and ``denominators()`` for the convergent ladder.
+that make the statement true. Sequences are streams: ``terms(spec)`` for
+the family, ``numerators()`` and ``denominators()`` for the convergent ladder.
 """
 
 from .convergents import denominators, numerators
@@ -20,13 +20,11 @@ from .recurrences import (
     U_SPEC,
     V_SPEC,
     RecurrenceSpec,
-    SequenceId,
     eval_closed_form,
     eval_u,
     eval_v,
     eval_via_L,
     gf_coefficients,
-    resolve_spec,
     sequence_prefix,
     terms,
 )
@@ -34,7 +32,6 @@ from .triangular import (
     TriangularWitness,
     check_pair,
     enumerate_solutions,
-    prefix_average,
     prefix_sum,
     solve_r_for_s,
     solve_s_for_r,
@@ -52,7 +49,6 @@ __all__ = [
     "QuadElem",
     "is_perfect_square",
     "RecurrenceSpec",
-    "SequenceId",
     "NAMED_SPECS",
     "A_SPEC",
     "B_SPEC",
@@ -60,7 +56,6 @@ __all__ = [
     "V_SPEC",
     "L_SPEC",
     "F_SPEC",
-    "resolve_spec",
     "eval_closed_form",
     "eval_via_L",
     "eval_u",
@@ -72,7 +67,6 @@ __all__ = [
     "SUITES",
     "run_all",
     "prefix_sum",
-    "prefix_average",
     "check_pair",
     "solve_s_for_r",
     "solve_r_for_s",

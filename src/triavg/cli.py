@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, TextIO
 from .convergents import _cf_terms, _ladder
 from .identities import SUITES, IdentityReport, run_all
 from .recurrences import B_SPEC, NAMED_SPECS, RecurrenceSpec, terms
-from .triangular import SIEVE_MODULI, enumerate_solutions, prefix_average, solve_s_for_r, witness
+from .triangular import SIEVE_MODULI, enumerate_solutions, solve_s_for_r, witness
 
 PREFIX_WARN_THRESHOLD = 10**6
 
@@ -196,11 +196,12 @@ def _emit(text: str, out: TextIO | None) -> None:
 
 @contextlib.contextmanager
 def _unlimited_int_digits() -> Iterator[None]:
-    """Lift the int<->str digit cap (Python 3.10.7+) around formatting.
+    """Lift the int<->str digit cap (Python 3.10.7+) while a command runs.
 
     Terms past about 4300 digits are valid output. The cap exists to bound
-    the cost of parsing untrusted text; formatting our own results is not
-    that. The previous cap is restored on exit.
+    the cost of parsing untrusted text; the command line is parsed before
+    the cap is lifted, and formatting our own results is not that. The
+    previous cap is restored on exit.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
@@ -369,7 +370,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     rows is written.
     """
     name, stream, residues = _gen_request(args)
-    with _open_out(args.out) as out, _unlimited_int_digits():
+    with _open_out(args.out) as out:
         if args.count > PREFIX_WARN_THRESHOLD:
             print(
                 f"warning: generating {args.count} terms; values grow geometrically "
@@ -398,10 +399,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"unknown suite {args.suite!r}; expected all or one of: " + ", ".join(sorted(SUITES)))
     with _open_out(args.out) as out:
         reports = run_all(args.max_n, SUITES if args.suite == "all" else [args.suite])
-        lines: list[str] = []
-        with _unlimited_int_digits():
-            for report in reports:
-                lines.extend(_report_lines(report))
+        lines = [line for report in reports for line in _report_lines(report)]
         _emit("\n".join(lines) + "\n", out)
     return 0 if all(report.ok for report in reports) else 1
 
@@ -428,11 +426,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
             back = solve_s_for_r(r)
             if back != s:
                 raise ArithmeticError(f"the scan paired s = {s} with r = {r}, but r inverts to s = {back}")
-            avg = prefix_average(s)
-            if avg.denominator != 1:
-                lines.append(f"{s} {r} {avg} NON-INTEGRAL")
-                clean = False
-                continue
+            # Past the back-check (2s + 3)^2 = 1 + 12r + 12r^2, so the average is
+            # T_r, an integer; the division is checked all the same.
+            avg, rest = divmod((s + 1) * (s + 2), 6)
+            if rest:
+                raise ArithmeticError(f"the average of the first s = {s} triangular numbers is not an integer")
             index = predicted.pop((s, r), None)
             if index is None:
                 lines.append(f"{s} {r} {avg} UNEXPECTED")
@@ -452,12 +450,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     with _open_out(args.out) as out:
         record = witness(args.n)
         status = "VERIFIED" if record.verify() else "FAILED"
-        with _unlimited_int_digits():
-            text = (
-                f"n={record.n} b={record.s} sum={record.total} avg={record.avg} "
-                f"a={record.r} {status}\n"
-            )
-        _emit(text, out)
+        _emit(f"n={record.n} b={record.s} sum={record.total} avg={record.avg} a={record.r} {status}\n", out)
     return 0 if status == "VERIFIED" else 1
 
 
@@ -481,7 +474,8 @@ def main(argv: list[str] | None = None) -> int:
     # Looked up per call, so a cmd_* replaced after import is the one that runs.
     handler = globals()[f"cmd_{args.command}"]
     try:
-        code = handler(args)
+        with _unlimited_int_digits():
+            code = handler(args)
         if args.out is None:
             # A reader gone before the last buffered bytes is met here, not
             # in the flush at exit.

@@ -28,7 +28,7 @@ from itertools import chain, islice, pairwise, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .convergents import numerators
-from .recurrences import terms
+from .recurrences import L_SPEC, NAMED_SPECS, terms
 
 Failure = tuple[int, int, int]  # (n, lhs, rhs)
 Pairs = list[tuple[int, int]]  # (lhs, rhs) of each comparison at one n
@@ -149,7 +149,7 @@ def _windows(reads: set[str]) -> Iterator[Window]:
         if reads.isdisjoint((x, f"{x}_sq", f"{x}_prev", f"{x}_cross")):
             return repeat((None,) * 4)
         crossed = f"{x}_cross" in reads
-        return _stream(terms(x), crossed or f"{x}_sq" in reads, crossed)
+        return _stream(terms(NAMED_SPECS[x]), crossed or f"{x}_sq" in reads, crossed)
 
     rows = zip(
         stream("a"),
@@ -158,7 +158,7 @@ def _windows(reads: set[str]) -> Iterator[Window]:
         stream("v"),
         stream("F"),
         pairwise(stream("L")),
-        repeat((None, None)) if reads.isdisjoint(("L_even", "L_odd")) else _pairs(terms("L")),
+        repeat((None, None)) if reads.isdisjoint(("L_even", "L_odd")) else _pairs(terms(L_SPEC)),
         repeat((None, None)) if reads.isdisjoint(("z_prev", "z_even", "z_odd")) else _pairs(numerators()),
     )
     # Builds a Window from a tuple, without Window()'s 20-argument call.

@@ -1,6 +1,7 @@
 """Linear recurrence toolkit for the family w_n = 4*w_{n-1} - w_{n-2} + k.
 
-A spec (k, w0, w1) pins down one sequence. The named instances, by letter:
+A spec (k, w0, w1) pins down one sequence. The functions here take specs;
+only ``cli`` reads letters. The named instances, in NAMED_SPECS:
 
     a = w(1,  0, 1)   triangular indices of the integral averages (A061278)
     b = w(3, -1, 1)   prefix lengths whose triangular average is triangular
@@ -14,18 +15,19 @@ Every sequence can be evaluated four independent ways: direct iteration
 closed form over Z[sqrt(3)], the L-companion form, and coefficient
 extraction from the generating function. The paths share no arithmetic,
 so their agreement is strong evidence of correctness. ``eval_u`` and
-``eval_v`` are the closed form at U_SPEC and V_SPEC, not a fifth way. Only
-the test suite compares them: the ``verify`` CLI command streams the
-iteration (``terms``) and the continued-fraction ladder, and none of the
-other three. Outside the tests the closed form serves ``triangular.witness``
-alone, which weighs one power of alpha for both b_n and a_n; ``solve``
-takes the b_n that decide where it stops from ``terms``.
+``eval_v`` are the closed form at U_SPEC and V_SPEC, not a fifth way, and
+``sequence_prefix`` is a slice of ``terms``. Only the test suite compares
+the four: the ``verify`` CLI command streams the iteration (``terms``) and
+the continued-fraction ladder, and none of the other three. Outside the
+tests the closed form serves ``triangular.witness`` alone, which weighs one
+power of alpha for both b_n and a_n; ``solve`` takes the b_n that decide
+where it stops from ``terms``.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple
 
 from .exactnum import ALPHA, QuadElem, _make
 
@@ -54,31 +56,14 @@ NAMED_SPECS: dict[str, RecurrenceSpec] = {
     "F": F_SPEC,
 }
 
-SequenceId = Union[str, RecurrenceSpec]
-
-
-def resolve_spec(seq: SequenceId) -> RecurrenceSpec:
-    """Map a sequence letter (a, b, u, v, L, F) or an explicit spec to its spec."""
-    if isinstance(seq, RecurrenceSpec):
-        return seq
-    if not isinstance(seq, str):
-        raise TypeError(
-            f"sequence must be a letter or a RecurrenceSpec, got {type(seq).__name__}"
-        )
-    for candidate in (seq, seq.lower(), seq.upper()):
-        if candidate in NAMED_SPECS:
-            return NAMED_SPECS[candidate]
-    raise KeyError(f"unknown sequence {seq!r}; expected one of a, b, u, v, L, F")
-
-
-def terms(seq: SequenceId) -> Iterator[int]:
-    """w_0, w_1, w_2, ... for a named or custom sequence, by iteration, without end.
+def terms(spec: RecurrenceSpec) -> Iterator[int]:
+    """w_0, w_1, w_2, ... of the sequence of spec, by iteration, without end.
 
     It runs on any number type closed under its step, as ``gen`` runs a spec
     whose seeds are Decimal. When k is zero, as for u, v, L and F, the step
     leaves out the + k.
     """
-    k, prev, cur = resolve_spec(seq)
+    k, prev, cur = spec
     yield prev
     if k:
         while True:
@@ -194,21 +179,8 @@ def eval_v(n: int) -> int:
     return eval_closed_form(V_SPEC, n)
 
 
-def sequence_prefix(seq: SequenceId, count: int) -> list[int]:
-    """[w_0, ..., w_{count-1}] for a named or custom sequence, by iteration.
-
-    A loop of its own rather than a slice of ``terms``: the generator made
-    65-term prefixes about 13% slower.
-    """
+def sequence_prefix(spec: RecurrenceSpec, count: int) -> list[int]:
+    """[w_0, ..., w_{count-1}] of the sequence of spec: the first count items of ``terms``."""
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    spec = resolve_spec(seq)
-    out = [spec.w0]
-    if count == 1:
-        return out
-    out.append(spec.w1)
-    k, prev, cur = spec
-    for _ in range(count - 2):
-        prev, cur = cur, 4 * cur - prev + k
-        out.append(cur)
-    return out
+    return list(islice(terms(spec), count))

@@ -1,7 +1,8 @@
-"""Triangular numbers, their prefix averages, and the equation tying them together.
+"""Triangular numbers, their prefix sums, and the equation tying them together.
 
-Asking for the average of the first s triangular numbers to be the r-th
-triangular number leads to s^2 + 3s + 2 = 3r^2 + 3r. This module is the
+Asking for the average of the first s triangular numbers, (s+1)(s+2)/6,
+to be the r-th triangular number leads to s^2 + 3s + 2 = 3r^2 + 3r. All of
+it runs on ints, and no rational is formed. This module is the
 ground-truth side of the project: it solves that equation by radical
 inversion and by a scan that strikes only the residue classes where no
 square can occur, with no recourse to the recurrences, and it packages fully
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 from typing import NamedTuple
 
 from .exactnum import ALPHA, is_perfect_square
@@ -66,13 +66,6 @@ def _prefix_sum(s: int, s_squared: int) -> int:
                 f"prefix sum mismatch at s={s}: literal {literal} vs formula {total}"
             )
     return total
-
-
-def prefix_average(s: int) -> Fraction:
-    """Exact average of T_1 .. T_s, the rational (s+1)(s+2)/6."""
-    if s < 1:
-        raise ValueError(f"need at least one term, got s={s}")
-    return Fraction((s + 1) * (s + 2), 6)
 
 
 def check_pair(s: int, r: int) -> bool:

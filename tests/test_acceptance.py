@@ -14,7 +14,9 @@ from itertools import islice
 from triavg.cli import main
 from triavg.convergents import denominators, numerators
 from triavg.recurrences import (
+    L_SPEC,
     NAMED_SPECS,
+    U_SPEC,
     RecurrenceSpec,
     eval_closed_form,
     eval_via_L,
@@ -115,8 +117,8 @@ def test_criterion_6_bisection_and_convergent_quality():
     with criterion(6, "u_n = z_{2n+1}, even-index law, Pell-like errors", 1.0):
         ladder = list(islice(zip(numerators(), denominators()), 2 * 64 + 2))
         z = [p for p, _ in ladder]
-        u = sequence_prefix("u", 65)
-        L = sequence_prefix("L", 65)
+        u = sequence_prefix(U_SPEC, 65)
+        L = sequence_prefix(L_SPEC, 65)
         for n in range(65):
             assert u[n] == z[2 * n + 1]
         for m in range(65):

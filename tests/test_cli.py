@@ -18,7 +18,7 @@ import triavg.convergents as convergents
 from triavg.cli import PREFIX_WARN_THRESHOLD, _unlimited_int_digits, main
 from triavg.convergents import numerators
 from triavg.exactnum import QuadElem
-from triavg.recurrences import A_SPEC, B_SPEC, RecurrenceSpec, sequence_prefix, terms
+from triavg.recurrences import A_SPEC, B_SPEC, NAMED_SPECS, U_SPEC, V_SPEC, RecurrenceSpec, sequence_prefix, terms
 
 FORMATS = ("plain", "bfile", "csv", "json")
 
@@ -72,7 +72,7 @@ def test_bfile_round_trip(capsys):
     _, out, _ = run_cli(capsys, "gen", "u", "--count", "20", "--format", "bfile")
     pairs = parse_bfile(out)
     assert [i for i, _ in pairs] == list(range(20))
-    assert [v for _, v in pairs] == sequence_prefix("u", 20)
+    assert [v for _, v in pairs] == sequence_prefix(U_SPEC, 20)
 
 
 def test_gen_csv(capsys):
@@ -348,6 +348,51 @@ def test_solve_inverts_each_hit_and_fails_when_one_disagrees(tmp_path, capsys, m
     assert target.read_text() == ""
 
 
+SOLVE_500 = [
+    "# s r average match",
+    "1 1 1 (b_1,a_1)",
+    "8 5 15 (b_2,a_2)",
+    "34 20 210 (b_3,a_3)",
+    "131 76 2926 (b_4,a_4)",
+    "493 285 40755 (b_5,a_5)",
+]
+
+
+def test_solve_lists_a_predicted_pair_that_the_scan_missed(capsys, monkeypatch):
+    scan = cli.enumerate_solutions
+    monkeypatch.setattr("triavg.cli.enumerate_solutions", lambda s_max: [p for p in scan(s_max) if p != (34, 20)])
+    code, out, err = run_cli(capsys, "solve", "--max-s", "500")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [*SOLVE_500[:3], *SOLVE_500[4:], "34 20 - MISSED (b_3,a_3) not found by scan"]
+
+
+def test_solve_lists_a_hit_that_no_pair_predicts(capsys, monkeypatch):
+    # (b_6, a_6) = (1844, 1065) is a true solution, but b_6 > 500 is not predicted.
+    scan = cli.enumerate_solutions
+    monkeypatch.setattr("triavg.cli.enumerate_solutions", lambda s_max: [*scan(s_max), (1844, 1065)])
+    code, out, err = run_cli(capsys, "solve", "--max-s", "500")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [*SOLVE_500, "1844 1065 567645 UNEXPECTED"]
+
+
+def test_solve_fails_on_a_hit_whose_average_is_not_an_integer(tmp_path, capsys, monkeypatch):
+    # The average of the first 3 triangular numbers is 10/3; r = 1 inverts to s = 1.
+    scan = cli.enumerate_solutions
+    monkeypatch.setattr("triavg.cli.enumerate_solutions", lambda s_max: sorted([*scan(s_max), (3, 1)]))
+    message = "verification error: the scan paired s = 3 with r = 1, but r inverts to s = 1\n"
+    assert run_cli(capsys, "solve", "--max-s", "500") == (1, "", message)
+    target = tmp_path / "solve.txt"
+    assert run_cli(capsys, "solve", "--max-s", "500", "--out", str(target)) == (1, "", message)
+    assert target.read_text() == ""
+    # Past a back-check that let it through, the division by 6 still refuses it.
+    invert = cli.solve_s_for_r
+    monkeypatch.setattr("triavg.cli.solve_s_for_r", lambda r: 3 if r == 2 else invert(r))
+    monkeypatch.setattr("triavg.cli.enumerate_solutions", lambda s_max: sorted([*scan(s_max), (3, 2)]))
+    message = "verification error: the average of the first s = 3 triangular numbers is not an integer\n"
+    assert run_cli(capsys, "solve", "--max-s", "500", "--out", str(target)) == (1, "", message)
+    assert target.read_text() == ""
+
+
 def test_witness_output(capsys):
     code, out, _ = run_cli(capsys, "witness", "2")
     assert code == 0
@@ -410,6 +455,60 @@ def _digit_cap():
     return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
 
 
+@pytest.fixture
+def digit_cap_4321():
+    """The int->str digit cap set to 4321 for a test, or None where Python has no cap."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield None
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        yield 4321
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["gen", "a", "--count", "3"], 0),
+        (["verify", "--max-n", "3"], 0),
+        (["solve", "--max-s", "10"], 0),
+        (["witness", "2"], 0),
+        (["verify", "--suite", "nope"], 2),
+        (["witness", "0"], 2),
+    ],
+    ids=["gen", "verify", "solve", "witness", "unknown-suite", "witness-0"],
+)
+def test_main_lifts_the_digit_cap_while_a_command_runs_and_restores_it(capsys, monkeypatch, digit_cap_4321, argv, code):
+    emit, caps = cli._emit, []
+    monkeypatch.setattr("triavg.cli._emit", lambda text, out: caps.append(_digit_cap()) or emit(text, out))
+    assert run_cli(capsys, *argv)[0] == code
+    assert _digit_cap() == digit_cap_4321
+    # Every piece of output is written with the cap lifted; a usage error writes none.
+    assert set(caps) == (set() if code else {None if digit_cap_4321 is None else 0})
+
+
+def test_the_digit_cap_is_restored_after_a_verification_error_and_holds_while_parsing(
+    capsys, monkeypatch, digit_cap_4321
+):
+    monkeypatch.setattr("triavg.cli.solve_s_for_r", lambda r: 0)
+    code, out, err = run_cli(capsys, "solve", "--max-s", "10")
+    assert (code, out) == (1, "")
+    assert err.startswith("verification error: ")
+    assert _digit_cap() == digit_cap_4321
+    if digit_cap_4321 is not None:
+        # The command line is parsed under the cap, so a 4400-digit count is a
+        # usage error; the stub stands in for a gen that would never end.
+        monkeypatch.setattr("triavg.cli.cmd_gen", lambda args: 0)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gen", "a", "--count", "9" * 4400])
+        assert exit_info.value.code == 2
+        assert "expected an integer" in capsys.readouterr().err
+        assert _digit_cap() == digit_cap_4321
+
+
 def test_witness_past_the_int_str_digit_cap(capsys):
     # Python's default cap is 4300 digits; the prefix sum of witness 2507
     # is the first to pass it.
@@ -448,7 +547,7 @@ def test_bfile_round_trip_past_the_int_str_digit_cap(tmp_path, capsys):
     cap = _digit_cap()
     pairs = parse_bfile(target.read_text())
     assert _digit_cap() == cap
-    assert pairs == list(enumerate(sequence_prefix("a", 7520)))
+    assert pairs == list(enumerate(sequence_prefix(A_SPEC, 7520)))
 
 
 def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
@@ -507,7 +606,7 @@ def prefix_digits(seq, count):
     """str() of the first count terms of a letter's sequence, z included."""
     if seq == "z":
         return int_digits(itertools.islice(numerators(), count))
-    return int_digits(sequence_prefix(seq, count))
+    return int_digits(sequence_prefix(NAMED_SPECS[seq], count))
 
 
 def int_reference(name, digits, fmt):
@@ -622,14 +721,14 @@ def test_gen_small_requests_stay_on_int_formatting(capsys, decimal_calls, residu
     # A 512-term request ends below DECIMAL_FROM_BITS, where int->str is cheaper.
     code, out, _ = run_cli(capsys, "gen", "v", "--count", "512", "--format", fmt)
     assert code == 0
-    assert out == int_reference("v", int_digits(sequence_prefix("v", 512)), fmt)
+    assert out == int_reference("v", int_digits(sequence_prefix(V_SPEC, 512)), fmt)
     assert decimal_calls == []
     assert residue_calls == []
 
 
 @functools.cache
 def b_digits_7520():
-    return int_digits(sequence_prefix("b", 7520))
+    return int_digits(sequence_prefix(B_SPEC, 7520))
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -952,7 +1051,7 @@ def test_gen_peak_memory_is_below_its_text(tmp_path):
             tracemalloc.stop()
         assert code == 0
         text = target.read_text()
-        assert text.startswith(int_reference(letter, int_digits(sequence_prefix(letter, 4)), "bfile"))
+        assert text.startswith(int_reference(letter, int_digits(sequence_prefix(NAMED_SPECS[letter], 4)), "bfile"))
         assert peak < len(text)
         assert peak < 3 << 18
 

@@ -5,7 +5,7 @@ import pytest
 
 from triavg.convergents import denominators, numerators
 from triavg.identities import run_all
-from triavg.recurrences import sequence_prefix
+from triavg.recurrences import L_SPEC, sequence_prefix
 
 # Locally stored prefix of A002531 (convergent numerators for sqrt(3)).
 A002531_PREFIX = [1, 1, 2, 5, 7, 19, 26, 71, 97, 265, 362, 989, 1351, 3691]
@@ -68,7 +68,7 @@ def test_z_examples():
 
 
 def test_even_index_law():
-    L = sequence_prefix("L", 65)
+    L = sequence_prefix(L_SPEC, 65)
     z = z_prefix(130)
     for m in range(65):
         assert L[m] % 2 == 0

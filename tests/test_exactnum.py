@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from triavg.exactnum import ALPHA, BETA, ONE, SQRT3, ZERO, QuadElem, is_perfect_square
-from triavg.recurrences import terms
+from triavg.recurrences import F_SPEC, L_SPEC, terms
 
 
 def test_alpha_beta_sum_and_product():
@@ -56,7 +56,7 @@ def test_alpha_powers_match_iterated_l_and_f():
     # alpha^n = L_n/2 + F_n*sqrt(3), with L and F from their recurrences, at
     # exponents whose bit patterns are all ones, a lone one, and 1...01.
     exponents = {2**k + j for k in range(17) for j in (-1, 0, 1)}
-    for n, l_n, f_n in zip(range(max(exponents) + 1), terms("L"), terms("F")):
+    for n, l_n, f_n in zip(range(max(exponents) + 1), terms(L_SPEC), terms(F_SPEC)):
         if n in exponents:
             power = ALPHA**n
             assert l_n % 2 == 0

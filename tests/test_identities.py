@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from triavg import identities
 from triavg.convergents import numerators
 from triavg.identities import SUITES, IdentityReport, run_all
-from triavg.recurrences import sequence_prefix, terms
+from triavg.recurrences import F_SPEC, L_SPEC, NAMED_SPECS, sequence_prefix, terms
 
 # Every suite, keyed by its test id.
 SUITE_IDS = {
@@ -21,6 +21,9 @@ SUITE_IDS = {
     "check_bisection": "bisection",
     "check_differences": "differences",
 }
+
+# The letter of each named spec, for stubs of identities.terms keyed by letter.
+LETTER = {spec: letter for letter, spec in NAMED_SPECS.items()}
 
 
 def test_expect_records_mismatches_only(monkeypatch):
@@ -97,7 +100,7 @@ def test_suite_ids_cover_every_suite():
 )
 def test_run_all_asks_only_for_the_streams_its_suites_read(monkeypatch, names, letters):
     asked = []
-    monkeypatch.setattr(identities, "terms", lambda seq: asked.append(seq) or terms(seq))
+    monkeypatch.setattr(identities, "terms", lambda spec: asked.append(LETTER[spec]) or terms(spec))
     assert all(report.ok for report in run_all(5, names))
     assert set(asked) == letters
 
@@ -168,9 +171,9 @@ def test_each_square_is_squared_from_its_own_term(monkeypatch):
     shifts = {"a": 1, "b": 2, "u": 3, "v": 5, "F": 7, "L": 11}
     letters, squared, crossed, stream = {}, [], [], identities._stream
 
-    def shifted(seq):
-        xs = (term + shifts[seq] for term in terms(seq))
-        letters[xs] = seq
+    def shifted(spec):
+        xs = (term + shifts[LETTER[spec]] for term in terms(spec))
+        letters[xs] = LETTER[spec]
         return xs
 
     def counted(xs, is_squared, is_crossed):
@@ -254,7 +257,7 @@ def homogeneous_runs(draw):
 
 # F_530, F_529, ..., F_0, -F_1, ..., -F_59: past 1000 bits at first, the
 # terms fall below it and below 64 bits, cross 0 and grow again.
-FALLING = homogeneous(*sequence_prefix("F", 531)[:-3:-1], 590)
+FALLING = homogeneous(*sequence_prefix(F_SPEC, 531)[:-3:-1], 590)
 
 
 @settings(max_examples=150, deadline=None)
@@ -283,7 +286,7 @@ def test_window_squares_are_exact_for_any_streams(streams, bits):
     # Streams that follow no recurrence, with sign changes, huge jumps and
     # as few as one term, on both sides of the switch to carried squares.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(identities, "terms", lambda seq: iter(streams[seq]))
+        patch.setattr(identities, "terms", lambda spec: iter(streams[LETTER[spec]]))
         patch.setattr(identities, "SQUARE_FROM_BITS", bits)
         windows = list(identities._windows(set(identities.Window._fields) - {"F"}))
     L = streams["L"]
@@ -329,7 +332,7 @@ def test_report_names_are_distinct():
 
 def test_run_all_holds_no_prefix():
     max_n = 2000
-    L = sequence_prefix("L", 2 * max_n + 2)
+    L = sequence_prefix(L_SPEC, 2 * max_n + 2)
     prefix_bytes = sys.getsizeof(L) + sum(sys.getsizeof(term) for term in L)
     del L
     tracemalloc.start()
@@ -370,7 +373,7 @@ def test_one_corrupted_term_fails_every_suite_that_reads_it(monkeypatch, stream,
     if stream == "z":
         monkeypatch.setattr(identities, "numerators", lambda: bump(numerators()))
     else:
-        monkeypatch.setattr(identities, "terms", lambda seq: bump(terms(seq)) if seq == stream else terms(seq))
+        monkeypatch.setattr(identities, "terms", lambda spec: bump(terms(spec)) if LETTER[spec] == stream else terms(spec))
     failing = {report.name for report in run_all(n + 3) if any(f[0] == n for f in report.failures)}
     assert failing == readers
 

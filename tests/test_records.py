@@ -6,7 +6,7 @@ import types
 import pytest
 
 import triavg
-from triavg import IdentityReport, RecurrenceSpec, TriangularWitness, resolve_spec, witness
+from triavg import IdentityReport, RecurrenceSpec, TriangularWitness, witness
 
 
 def test_records_keep_their_fields():
@@ -35,23 +35,28 @@ def test_records_hash_by_value():
     assert witness(3) in {witness(3)}
 
 
-def test_resolve_spec_rejects_a_plain_tuple():
-    with pytest.raises(TypeError, match="tuple"):
-        resolve_spec((1, 0, 1))
-
-
-def test_cli_import_does_not_load_dataclasses():
-    # dataclasses pulls in inspect, about a third of the package's start-up.
+def cli_import_loads(module):
+    """Whether a fresh interpreter that imports triavg.cli has module in sys.modules."""
     src = os.path.dirname(os.path.dirname(triavg.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, triavg.cli; print('dataclasses' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, triavg.cli; print({module!r} in sys.modules)"],
         capture_output=True,
         text=True,
         env=env,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    return {"True\n": True, "False\n": False}[result.stdout]
+
+
+def test_cli_import_does_not_load_dataclasses():
+    # dataclasses pulls in inspect, about a third of the package's start-up.
+    assert not cli_import_loads("dataclasses")
+
+
+def test_cli_import_does_not_load_fractions():
+    # The package is ints throughout: no rational type is used or imported.
+    assert not cli_import_loads("fractions")
 
 
 def test_triavg_triangular_is_the_module():
@@ -77,6 +82,9 @@ def test_every_public_name_resolves():
         ("convergents", "Convergent"),
         ("convergents", "cf_sqrt3"),
         ("triangular", "is_triangular"),
+        ("recurrences", "resolve_spec"),
+        ("recurrences", "SequenceId"),
+        ("triangular", "prefix_average"),
     ],
 )
 def test_removed_names_are_gone(module, name):

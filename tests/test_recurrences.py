@@ -22,7 +22,6 @@ from triavg.recurrences import (
     eval_v,
     eval_via_L,
     gf_coefficients,
-    resolve_spec,
     sequence_prefix,
     terms,
 )
@@ -43,26 +42,6 @@ def test_named_spec_parameters():
     assert F_SPEC == RecurrenceSpec(0, 0, 1)
 
 
-def test_resolve_spec_accepts_letters_and_specs():
-    assert resolve_spec("a") is A_SPEC
-    assert resolve_spec("L") is L_SPEC
-    assert resolve_spec("l") is L_SPEC
-    assert resolve_spec("A") is A_SPEC
-    custom = RecurrenceSpec(2, 3, 4)
-    assert resolve_spec(custom) is custom
-
-
-def test_resolve_spec_rejects_unknown_names():
-    with pytest.raises(KeyError):
-        resolve_spec("w")
-
-
-@pytest.mark.parametrize("bad", [5, None, 2.5, ("a",)])
-def test_resolve_spec_rejects_non_strings_with_a_type_error(bad):
-    with pytest.raises(TypeError, match=type(bad).__name__):
-        resolve_spec(bad)
-
-
 def test_iterative_first_values():
     assert list(islice(terms(A_SPEC), 6)) == [0, 1, 5, 20, 76, 285]
     assert list(islice(terms(B_SPEC), 6)) == [-1, 1, 8, 34, 131, 493]
@@ -71,8 +50,8 @@ def test_iterative_first_values():
 
 
 def test_terms_stream_the_prefix():
-    for seq in [*"abuvLF", RecurrenceSpec(k=-7, w0=3, w1=-2)]:
-        assert list(islice(terms(seq), 40)) == sequence_prefix(seq, 40)
+    for spec in [*NAMED_SPECS.values(), RecurrenceSpec(k=-7, w0=3, w1=-2)]:
+        assert list(islice(terms(spec), 40)) == sequence_prefix(spec, 40)
 
 
 def plain_terms(k, prev, cur, count):
@@ -154,27 +133,27 @@ def test_u_and_v_match_their_recurrences():
 
 
 def test_u_is_positive_and_strictly_increasing():
-    u = sequence_prefix("u", 65)
+    u = sequence_prefix(U_SPEC, 65)
     assert u[0] > 0
     for earlier, later in zip(u, u[1:]):
         assert later > earlier > 0
 
 
 def test_sequence_prefix_examples():
-    assert sequence_prefix("F", 6) == [0, 1, 4, 15, 56, 209]
-    assert sequence_prefix("v", 5) == [3, 9, 33, 123, 459]
-    assert sequence_prefix("u", 1) == [1]
+    assert sequence_prefix(F_SPEC, 6) == [0, 1, 4, 15, 56, 209]
+    assert sequence_prefix(V_SPEC, 5) == [3, 9, 33, 123, 459]
+    assert sequence_prefix(U_SPEC, 1) == [1]
 
 
 def test_sequence_prefix_rejects_bad_count():
     with pytest.raises(ValueError):
-        sequence_prefix("a", 0)
+        sequence_prefix(A_SPEC, 0)
 
 
 def test_prefixes_against_stored_oeis_values():
-    assert sequence_prefix("a", len(A061278_PREFIX)) == A061278_PREFIX
-    assert sequence_prefix("u", len(A001834_PREFIX)) == A001834_PREFIX
-    assert sequence_prefix("F", len(A001353_PREFIX)) == A001353_PREFIX
+    assert sequence_prefix(A_SPEC, len(A061278_PREFIX)) == A061278_PREFIX
+    assert sequence_prefix(U_SPEC, len(A001834_PREFIX)) == A001834_PREFIX
+    assert sequence_prefix(F_SPEC, len(A001353_PREFIX)) == A001353_PREFIX
 
 
 @pytest.mark.parametrize("name,spec", sorted(NAMED_SPECS.items()))
@@ -190,7 +169,7 @@ def test_three_way_agreement(name, spec):
 
 
 def test_lucas_identities_on_l_prefix():
-    L = sequence_prefix("L", 130)
+    L = sequence_prefix(L_SPEC, 130)
     for n in range(64):
         assert L[n] * L[n] == L[2 * n] + 2
         assert L[n] * L[n + 1] == L[2 * n + 1] + 4

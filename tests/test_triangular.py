@@ -1,7 +1,6 @@
 import itertools
 import random
 import tracemalloc
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +17,6 @@ from triavg.triangular import (
     TriangularWitness,
     check_pair,
     enumerate_solutions,
-    prefix_average,
     prefix_sum,
     residue_masks,
     solve_r_for_s,
@@ -37,37 +35,6 @@ def test_triangular_examples():
 def test_triangular_rejects_negative():
     with pytest.raises(ValueError):
         triangular(-1)
-
-
-def test_prefix_average_examples():
-    assert prefix_average(1) == 1
-    assert prefix_average(8) == 15
-    assert prefix_average(34) == 210
-
-
-def test_prefix_average_matches_literal_sum():
-    # 1 + 3 + 6 + 10 + 15 + 21 + 28 + 36 = 120 over 8 terms.
-    assert sum(triangular(k) for k in range(1, 9)) == 120
-    assert prefix_average(8) == Fraction(120, 8)
-    for s in (1, 2, 3, 7, 34, 100):
-        literal = sum(triangular(k) for k in range(1, s + 1))
-        assert prefix_average(s) == Fraction(literal, s)
-
-
-def test_prefix_average_rejects_empty():
-    with pytest.raises(ValueError):
-        prefix_average(0)
-
-
-def test_average_formula_equals_unreduced_form():
-    # (s+1)(2s+4)/12 written in lowest terms is (s+1)(s+2)/6.
-    for s in range(1, 101):
-        assert prefix_average(s) == Fraction((s + 1) * (2 * s + 4), 12)
-
-
-@given(st.integers(min_value=1, max_value=10**18))
-def test_prefix_average_times_count(s):
-    assert prefix_average(s) * s * 6 == s * (s + 1) * (s + 2)
 
 
 @given(st.integers(min_value=1, max_value=10**4))
@@ -236,7 +203,7 @@ def test_every_b_n_survives_every_mask():
     # Soundness far past any scan: the recurrences serve only as the oracle
     # here, naming solutions up to b_300, about 10^171.
     masks = residue_masks()
-    for n, b in enumerate(sequence_prefix("b", 301)[1:], start=1):
+    for n, b in enumerate(sequence_prefix(B_SPEC, 301)[1:], start=1):
         for q, mask in masks:
             assert mask >> b % q & 1, (n, q)
 
